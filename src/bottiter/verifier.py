@@ -161,6 +161,93 @@ def validate_signature(s: Signature) -> list[str]:
     return violations
 
 
+def _arc_sequences(n: int, first: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Arc sequences in enumeration order: by length 1..n, then
+    lexicographically.
+
+    Values lie in 0..2(n-1) and each consecutive jump |dI_j| costs
+    max(1, |dI_j|) of the shared nullity budget n - 1.  With `first`, only
+    the sequences with I_1 = first.
+    """
+    vmax = 2 * (n - 1)
+    budget = n - 1
+    starts = range(vmax + 1) if first is None else (first,)
+    seq: list[int] = []
+
+    def extend(length: int, spent: int) -> Iterator[tuple[int, ...]]:
+        if len(seq) == length:
+            yield tuple(seq)
+            return
+        last, room = seq[-1], budget - spent
+        if room < 1:
+            return
+        for v in range(max(0, last - room), min(vmax, last + room) + 1):
+            seq.append(v)
+            yield from extend(length, spent + max(1, abs(v - last)))
+            seq.pop()
+
+    for length in range(1, n + 1):
+        for v in starts:
+            seq.append(v)
+            yield from extend(length, 0)
+            seq.pop()
+
+
+def _jump_costs(arcs: tuple[int, ...]) -> tuple[int, ...]:
+    """Smallest admissible nullity N_j = max(1, |I_j - I_{j+1}|) per phase."""
+    return tuple(max(1, abs(a - b)) for a, b in zip(arcs, arcs[1:]))
+
+
+def _null_splits(mins: tuple[int, ...], budget: int) -> Iterator[tuple[int, ...]]:
+    """Every nullity vector N >= mins with sum(N) <= budget, lexicographically."""
+    chosen: list[int] = []
+
+    def extend(pos: int, used: int) -> Iterator[tuple[int, ...]]:
+        if pos == len(mins):
+            yield tuple(chosen)
+            return
+        tail_min = sum(mins[pos + 1 :])
+        for nv in range(mins[pos], budget - used - tail_min + 1):
+            chosen.append(nv)
+            yield from extend(pos + 1, used + nv)
+            chosen.pop()
+
+    yield from extend(0, 0)
+
+
+def _split_count(l: int, spent: int, budget: int) -> int:
+    """len(list(_null_splits(mins, budget))) for l phases with sum(mins) = spent.
+
+    Stars and bars: the l excesses N_j - mins_j and the unused budget are
+    l + 1 non-negative integers summing to budget - spent.
+    """
+    return math.comb(budget - spent + l, l)
+
+
+def _count_wrong_prime_index(n: int) -> int:
+    """Number of signatures enumerate_signatures(n) yields with I_1 != n - 1.
+
+    A DP over arc prefixes: ways[(v, s)] counts the prefixes of the current
+    length that start at I_1 != n - 1, end at value v and have spent s of
+    the budget; each complete sequence stands for its nullity splits.
+    """
+    vmax, budget = 2 * (n - 1), n - 1
+    ways = {(v, 0): 1 for v in range(vmax + 1) if v != n - 1}
+    total = 0
+    for l in range(n):
+        total += sum(c * _split_count(l, s, budget) for (_, s), c in ways.items())
+        longer: dict[tuple[int, int], int] = {}
+        for (v, s), c in ways.items():
+            room = budget - s
+            if room < 1:
+                continue
+            for w in range(max(0, v - room), min(vmax, v + room) + 1):
+                key = (w, s + max(1, abs(w - v)))
+                longer[key] = longer.get(key, 0) + c
+        ways = longer
+    return total
+
+
 def enumerate_signatures(n: int) -> Iterator[Signature]:
     """Every admissible skeleton, in deterministic lexicographic order.
 
@@ -171,48 +258,9 @@ def enumerate_signatures(n: int) -> Iterator[Signature]:
     """
     if not 3 <= n <= 8:
         raise PrecondViolation(f"enumeration is bounded to 3 <= n <= 8, got n = {n}")
-    vmax = 2 * (n - 1)
-    budget = n - 1
-
-    def arc_seqs(length: int) -> Iterator[tuple[int, ...]]:
-        seq: list[int] = []
-
-        def extend(spent: int) -> Iterator[tuple[int, ...]]:
-            if len(seq) == length:
-                yield tuple(seq)
-                return
-            for v in range(vmax + 1):
-                cost = max(1, abs(v - seq[-1])) if seq else 0
-                if spent + cost > budget and seq:
-                    continue
-                seq.append(v)
-                yield from extend(spent + cost)
-                seq.pop()
-
-        yield from extend(0)
-
-    def null_splits(mins: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        chosen: list[int] = []
-
-        def extend(pos: int, used: int) -> Iterator[tuple[int, ...]]:
-            if pos == len(mins):
-                yield tuple(chosen)
-                return
-            tail_min = sum(mins[pos + 1 :])
-            for nv in range(mins[pos], budget - used - tail_min + 1):
-                chosen.append(nv)
-                yield from extend(pos + 1, used + nv)
-                chosen.pop()
-
-        yield from extend(0, 0)
-
-    for l in range(n):
-        for arcs in arc_seqs(l + 1):
-            mins = tuple(max(1, abs(arcs[j] - arcs[j + 1])) for j in range(l))
-            if sum(mins) > budget:
-                continue
-            for nulls in null_splits(mins):
-                yield Signature(n=n, arc_values=arcs, nullities=nulls)
+    for arcs in _arc_sequences(n):
+        for nulls in _null_splits(_jump_costs(arcs), n - 1):
+            yield Signature(n=n, arc_values=arcs, nullities=nulls)
 
 
 def extremal_profile(n: int, phases) -> IndexProfile:
@@ -318,14 +366,33 @@ def _default_morse_window(alpha: Fraction) -> int:
     return max(1, math.ceil(4 * alpha))
 
 
+def _prop33_report(p: IndexProfile, horizon: int) -> Prop33Report | None:
+    """check_prop33 at the pipeline's horizon; None when out of scope."""
+    try:
+        return check_prop33(p, horizon=_safe_prop33_horizon(p, horizon))
+    except HypothesesNotMet:
+        return None
+
+
+_UNCHECKED = object()
+
+
 def single_geodesic_pipeline(
     n: int,
     p: IndexProfile,
     horizon: int,
     morse_window: int | None = None,
+    *,
+    prop33=_UNCHECKED,
 ) -> Union[ContradictionReport, str]:
     """Run the contradiction pipeline; return the first failing step with
-    exact witnesses, or the explicit consistent-up-to-horizon verdict."""
+    exact witnesses, or the explicit consistent-up-to-horizon verdict.
+
+    `prop33` lets a caller that already ran check_prop33 on p, at the
+    horizon min(horizon, smallest phase denominator - 1), hand over its
+    report (None when the hypotheses were not met) instead of having it
+    computed again here.
+    """
     if horizon < 3:
         raise PrecondViolation(f"horizon = {horizon} must be >= 3")
     alpha = average_index(p)
@@ -369,21 +436,19 @@ def single_geodesic_pipeline(
             },
         )
 
-    try:
-        prop33 = check_prop33(p, horizon=_safe_prop33_horizon(p, horizon))
-        if not prop33.passed:
-            return ContradictionReport(
-                candidate=p,
-                failed_step="prop33-hypotheses",
-                witness={
-                    "conclusion_a": prop33.conclusion_a,
-                    "conclusion_b": prop33.conclusion_b,
-                    "conclusion_c": prop33.conclusion_c,
-                    "details": prop33.details,
-                },
-            )
-    except HypothesesNotMet:
-        pass
+    if prop33 is _UNCHECKED:
+        prop33 = _prop33_report(p, horizon)
+    if prop33 is not None and not prop33.passed:
+        return ContradictionReport(
+            candidate=p,
+            failed_step="prop33-hypotheses",
+            witness={
+                "conclusion_a": prop33.conclusion_a,
+                "conclusion_b": prop33.conclusion_b,
+                "conclusion_c": prop33.conclusion_c,
+                "details": prop33.details,
+            },
+        )
 
     window = morse_window if morse_window is not None else _default_morse_window(alpha)
     w = aggregate_w(p, window)
@@ -668,12 +733,17 @@ def _is_prime(value: int) -> bool:
 def verify_theorem(n: int, horizon: int, q: int) -> VerificationSummary:
     """Exhaust the candidate space for dimension n and tally contradictions.
 
-    Per signature: skeleton-level kills first (wrong prime index, second
-    iterate landing back on degree n-1); then one exact certificate for
-    every profile whose average index differs from the value the relation
-    forces for the signature's parity invariant; then representative
-    instantiations at the allowed targets (both parity magnitudes; the
-    mismatched one dies in-pipeline) run through the full pipeline.
+    The tallies are those of running every signature of
+    enumerate_signatures(n) through the search, but the work is done once
+    per arc sequence: nothing below reads the nullities, so each outcome
+    counts for all of the sequence's nullity splits.  Signatures with the
+    wrong prime index are counted in closed form.  Of the rest, skeletons
+    whose second iterate lands back on degree n-1 die outright; every other
+    one gets one exact certificate for every profile whose average index
+    differs from the value the relation forces for its parity invariant,
+    and then representative instantiations at the allowed targets (both
+    parity magnitudes; the mismatched one dies in-pipeline) run through the
+    full pipeline.
     """
     if not 3 <= n <= 8:
         raise PrecondViolation(f"3 <= n <= 8 required, got n = {n}")
@@ -684,93 +754,62 @@ def verify_theorem(n: int, horizon: int, q: int) -> VerificationSummary:
             f"Q = {q} must exceed 2*horizon + 1 = {2 * horizon + 1}"
         )
     relation = average_relation_value(n)
+    budget = n - 1
     by_step = {step: 0 for step in STEP_IDS}
+    by_step["index-of-prime"] = _count_wrong_prime_index(n)
     survivors: list = []
-    candidates = 0
     prop33_checked = 0
     prop33_failures: list = []
 
-    def record(report: ContradictionReport) -> None:
-        nonlocal candidates
-        candidates += 1
-        by_step[report.failed_step] += 1
-
-    for s in enumerate_signatures(n):
-        if s.arc_values[0] != n - 1:
-            record(
-                ContradictionReport(
-                    candidate=s,
-                    failed_step="index-of-prime",
-                    witness={"ind_c": s.arc_values[0], "required": n - 1},
-                )
-            )
-            continue
-        if s.arc_values[-1] == 0:
-            record(
-                ContradictionReport(
-                    candidate=s,
-                    failed_step="second-iterate",
-                    witness={
-                        "ind_c2": n - 1,
-                        "w_at_n_minus_1": 2,
-                        "betti_at_n_minus_1": betti_number(n, n - 1),
-                    },
-                )
-            )
+    for arcs in _arc_sequences(n, first=n - 1):
+        mins = _jump_costs(arcs)
+        splits = _split_count(len(mins), sum(mins), budget)
+        if arcs[-1] == 0:
+            by_step["second-iterate"] += splits
             continue
 
         # Exact class certificate: gamma is fixed by the skeleton's
         # parities, so the relation pins the average index; every profile
         # with any other alpha fails the relation outright.
-        required_alpha = relation * abs(s.gamma())
-        record(
-            ContradictionReport(
-                candidate=s,
-                failed_step="average-relation",
-                witness={
-                    "class": "every profile with alpha != required",
-                    "gamma": str(s.gamma()),
-                    "required_alpha": str(required_alpha),
-                },
-            )
-        )
+        by_step["average-relation"] += splits
 
+        signature = Signature(n, arcs, mins)
+        # (phases, failed prop33 report or None, survived) per magnitude.
+        kept: list[tuple[tuple[Fraction, ...], Prop33Report | None, bool]] = []
         for magnitude in (Fraction(1), Fraction(1, 2)):
-            target = relation * magnitude
-            outcome = phase_instantiate(s, target, q, horizon=horizon)
+            outcome = phase_instantiate(signature, relation * magnitude, q, horizon=horizon)
             if isinstance(outcome, PhaseInfeasible):
-                record(
-                    ContradictionReport(
-                        candidate=s,
-                        failed_step="phase-infeasible",
-                        witness={
-                            "alpha_target": str(target),
-                            "reason": outcome.reason,
-                        },
-                    )
-                )
+                by_step["phase-infeasible"] += splits
                 continue
-            profile = outcome
-            try:
-                rep33 = check_prop33(profile, horizon=horizon)
-                prop33_checked += 1
-                if not rep33.passed:
-                    prop33_failures.append((profile, rep33))
-            except HypothesesNotMet:
-                pass
-            verdict = single_geodesic_pipeline(n, profile, horizon)
-            if verdict == CONSISTENT:
-                candidates += 1
-                survivors.append(profile.to_document())
-            else:
-                record(verdict)
+            rep33 = _prop33_report(outcome, horizon)
+            if rep33 is not None:
+                prop33_checked += splits
+            verdict = single_geodesic_pipeline(n, outcome, horizon, prop33=rep33)
+            survived = verdict == CONSISTENT
+            if not survived:
+                by_step[verdict.failed_step] += splits
+            failed33 = rep33 if rep33 is not None and not rep33.passed else None
+            if survived or failed33 is not None:
+                kept.append((outcome.phases, failed33, survived))
 
+        # Survivors and prop33 failures are listed per signature, in
+        # enumeration order: nullity split first, then magnitude.
+        if kept:
+            for nulls in _null_splits(mins, budget):
+                for phases, failed33, survived in kept:
+                    profile = IndexProfile(n, arcs, phases, nulls)
+                    if failed33 is not None:
+                        prop33_failures.append((profile, failed33))
+                    if survived:
+                        survivors.append(profile.to_document())
+
+    contradicted = sum(by_step.values())
     return VerificationSummary(
         n=n,
         horizon=horizon,
         q=q,
-        candidates=candidates,
-        contradicted=candidates - len(survivors),
+        candidates=contradicted + len(survivors),
+        contradicted=contradicted,
         by_step=by_step,
         survivors=survivors,
         prop33_checked=prop33_checked,

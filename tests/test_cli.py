@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from bottiter import profile_from_document, validate_profile
+
 RUNNING = '{ "n": 4, "I": [3,2,1,2], "t": ["10/97","13/97","31/97"], "N": [1,1,1] }'
 
 
@@ -86,6 +88,18 @@ def test_verify_status_zero():
     assert payload["survivors"] == []
     assert payload["candidates"] == payload["contradicted"]
     assert set(payload) == {"n", "horizon", "Q", "candidates", "contradicted", "by_step", "survivors"}
+
+
+def test_verify_status_one_with_survivor():
+    # With Q > 3H the gap-bound witness (near m = Q/3) lies beyond the
+    # horizon, and one n = 6 candidate is consistent up to it.
+    result = run_cli("verify", "--n", "6", "--horizon", "200", "--q", "601")
+    assert result.returncode == 1
+    assert "verify: 1 candidate(s) consistent up to the horizon" in result.stderr
+    payload = json.loads(result.stdout)
+    assert payload["candidates"] == payload["contradicted"] + 1
+    [survivor] = payload["survivors"]
+    assert validate_profile(profile_from_document(survivor)) == []
 
 
 def test_input_errors_exit_2(tmp_path):

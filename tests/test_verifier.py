@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -25,13 +26,25 @@ from bottiter import (
     extremal_profile,
     gamma_invariant,
     phase_instantiate,
+    profile_from_document,
     single_geodesic_pipeline,
     validate_profile,
     validate_signature,
     verify_theorem,
 )
 from bottiter.morse import aggregate_w, morse_q_recursion
-from bottiter.verifier import average_relation_value
+from bottiter.verifier import (
+    _arc_sequences,
+    _count_wrong_prime_index,
+    _jump_costs,
+    _null_splits,
+    _split_count,
+    average_relation_value,
+)
+
+import bottiter.verifier
+import verify_oracle
+from verify_oracle import naive_verify
 
 
 class TestExtremalProfile:
@@ -138,6 +151,21 @@ class TestEnumerateSignatures:
                     expected.add((arcs, nulls))
         produced = set((s.arc_values, s.nullities) for s in enumerate_signatures(3))
         assert produced == expected
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_closed_form_counts(self, n):
+        # verify_theorem generates only arc sequences with I_1 = n - 1 and
+        # counts the rest; together they must cover the enumeration.
+        signatures = list(enumerate_signatures(n))
+        wrong = sum(1 for s in signatures if s.arc_values[0] != n - 1)
+        assert _count_wrong_prime_index(n) == wrong
+        generated = 0
+        for arcs in _arc_sequences(n, first=n - 1):
+            mins = _jump_costs(arcs)
+            count = _split_count(len(mins), sum(mins), n - 1)
+            assert count == len(list(_null_splits(mins, n - 1)))
+            generated += count
+        assert generated + wrong == len(signatures)
 
 
 class TestPhaseInstantiate:
@@ -300,6 +328,51 @@ class TestVerifyTheorem:
         assert summary.by_step["gap-bound"] >= 1
         assert summary.prop33_failures == []
         assert summary.prop33_checked == 2
+
+    @pytest.mark.parametrize(
+        "n, horizon, q, survivors",
+        [
+            (3, 200, 499, 0),
+            (4, 200, 499, 0),
+            (5, 200, 499, 0),
+            (6, 200, 499, 0),
+            (6, 200, 601, 1),
+            (6, 200, 1009, 5),
+            (4, 10000, 32083, 2),
+        ],
+    )
+    def test_matches_per_signature_oracle(self, n, horizon, q, survivors):
+        # The survivor cases pin the order in which survivors are listed.
+        fast = verify_theorem(n, horizon, q)
+        slow = naive_verify(n, horizon, q)
+        assert fast.to_dict() == slow.to_dict()
+        assert fast.prop33_checked == slow.prop33_checked
+        assert fast.prop33_failures == slow.prop33_failures
+        assert len(fast.survivors) == survivors
+
+    def test_listing_order_over_nullity_splits(self, monkeypatch):
+        # Real survivors use the whole nullity budget, so each has a single
+        # split.  Let every instantiated profile survive and fail the
+        # staircase proposition, so that sequences with several splits are
+        # listed too, and compare both lists with the oracle.
+        real = bottiter.verifier.check_prop33
+
+        def failing(p, horizon=None):
+            return dataclasses.replace(real(p, horizon), conclusion_c=False)
+
+        def consistent(n, p, horizon, morse_window=None, **unused):
+            return CONSISTENT
+
+        for module in (bottiter.verifier, verify_oracle):
+            monkeypatch.setattr(module, "check_prop33", failing)
+            monkeypatch.setattr(module, "single_geodesic_pipeline", consistent)
+        fast = verify_theorem(5, 200, 499)
+        slow = naive_verify(5, 200, 499)
+        assert fast.to_dict() == slow.to_dict()
+        assert fast.prop33_failures == slow.prop33_failures
+        listed = {profile_from_document(doc).arc_values for doc in fast.survivors}
+        assert len(fast.survivors) > len(listed)
+        assert fast.prop33_failures
 
     def test_preconditions(self):
         with pytest.raises(PrecondViolation):
