@@ -11,26 +11,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from .errors import PhaseCollision, PrecondViolation, ProfileFormatError
+from .errors import HypothesesNotMet, PhaseCollision, PrecondViolation, ProfileFormatError
 from .homology import betti_number, poincare_coefficients
 from .iteration import bott_index, bott_index_sequence, gap_decomposition, jump_search
 from .morse import aggregate_w, morse_q_recursion
 from .profile import IndexProfile, average_index, gamma_invariant, profile_from_document
 from .verifier import check_prop33, verify_theorem
-from .errors import HypothesesNotMet
-
-
-def parse_profile(document: str) -> IndexProfile:
-    """Parse and validate a profile document; diagnostics name the first
-    violated invariant."""
-    return profile_from_document(document)
 
 
 def _load_profile(path: str) -> IndexProfile:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_profile(handle.read())
+        return profile_from_document(handle.read())
 
 
 def _emit_csv(header: str, rows) -> None:
@@ -275,13 +267,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ProfileFormatError, PrecondViolation) as exc:
-        print(f"bottiter: {exc}", file=sys.stderr)
-        return 2
-    except PhaseCollision as exc:
-        print(f"bottiter: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ProfileFormatError, PrecondViolation, PhaseCollision, ValueError, OSError) as exc:
         print(f"bottiter: {exc}", file=sys.stderr)
         return 2
 

@@ -5,9 +5,15 @@ m-th roots of unity.  By conjugation symmetry this collapses to
 
     ind(c^m) = I_1 + [m even] * I_{l+1} + 2 * sum_{1 <= j < m/2} I(e(j/m)),
 
-which `bott_index` / `bott_index_sequence` evaluate through the kernel
-backend (exact lattice-point counting).  `iterate_index` additionally
-materializes the per-point arc hits for reporting.
+Summing by parts over the arcs gives Bott's iteration formula
+
+    ind(c^m) = I_1 + (m - 1) * I_{l+1} + 2 * sum_k (I_k - I_{k+1}) * floor(m * t_k),
+
+which `bott_index` evaluates in exact integers through `bottiter.kernel`.
+`bott_index_sequence` is event-driven: floor(m * t_k) grows by one at
+m = ceil(j / t_k) only, so the sequence is a running sum with one jump per
+crossing.  `iterate_index` additionally materializes the per-point arc
+hits for reporting.
 """
 
 from __future__ import annotations

@@ -1,58 +1,32 @@
-"""Backend selection for the Bott-sum inner loop.
+"""Entry point for the Bott-sum kernel.
 
-At import we try the compiled extension (`bottiter._fastkernel`, Cython)
-and fall back to the pure-Python implementation.  Dispatch stays per-call:
-the compiled kernel works on 64-bit integers, so calls whose intermediate
-products could overflow are routed to the pure backend regardless.  Set
-BOTTITER_PURE=1 in the environment to force the pure backend.
+Splits each phase into numerator and denominator and hands the exact
+integer arithmetic to `_purekernel`, the one kernel implementation.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
 from . import _purekernel
 
-try:
-    from . import _fastkernel  # type: ignore[attr-defined]
-except ImportError:
-    _fastkernel = None
-
-_FORCE_PURE = os.environ.get("BOTTITER_PURE", "") not in ("", "0")
-
-BACKEND = "c" if (_fastkernel is not None and not _FORCE_PURE) else "python"
-
-# Keep m * max(numerator, denominator) clear of 2^63 with margin.
-_SAFE_LIMIT = 2**62
+# Kept for the benchmark harness: it reads KERNEL_BACKEND, and its self-test
+# sets the hook below to a call-counting module that every call then goes through.
+BACKEND = "python"
+_fastkernel = None
 
 
 def _split_phases(phases: tuple[Fraction, ...]) -> tuple[list[int], list[int]]:
     return [t.numerator for t in phases], [t.denominator for t in phases]
 
 
-def _fits_fast(pnum: list[int], pden: list[int], m_max: int) -> bool:
-    if _fastkernel is None or _FORCE_PURE:
-        return False
-    if m_max <= 0:
-        return True
-    biggest = max(pnum + pden, default=0)
-    return biggest * m_max < _SAFE_LIMIT
-
-
 def index_at(arcs, phases: tuple[Fraction, ...], m: int) -> int:
-    """ind(c^m), dispatching to the fastest safe backend."""
+    """ind(c^m)."""
     pnum, pden = _split_phases(phases)
-    arcs = list(arcs)
-    if _fits_fast(pnum, pden, m):
-        return _fastkernel.index_at(arcs, pnum, pden, m)
-    return _purekernel.index_at(arcs, pnum, pden, m)
+    return (_fastkernel or _purekernel).index_at(list(arcs), pnum, pden, m)
 
 
 def index_sequence(arcs, phases: tuple[Fraction, ...], m_max: int) -> list[int]:
     """[ind(c^1), ..., ind(c^m_max)]."""
     pnum, pden = _split_phases(phases)
-    arcs = list(arcs)
-    if _fits_fast(pnum, pden, m_max):
-        return _fastkernel.index_sequence(arcs, pnum, pden, m_max)
-    return _purekernel.index_sequence(arcs, pnum, pden, m_max)
+    return (_fastkernel or _purekernel).index_sequence(list(arcs), pnum, pden, m_max)

@@ -141,7 +141,8 @@ def test_criterion_7_morse_recursion():
         assert report.q[8] == -1
 
 
-def _compare_engines(p: IndexProfile, m: int) -> None:
+def _compare_engines(p: IndexProfile, m: int) -> tuple[int | None, tuple[int, int] | None]:
+    """Check bott_index against the oracle at m; return the oracle's value or collision."""
     try:
         fast = bott_index(p, m)
         fast_collision = None
@@ -154,6 +155,27 @@ def _compare_engines(p: IndexProfile, m: int) -> None:
         slow, slow_collision = None, (m, exc.phase_index)
     assert fast == slow
     assert (fast_collision is None) == (slow_collision is None)
+    return slow, slow_collision
+
+
+def _compare_sequence(p: IndexProfile, oracle: list) -> None:
+    """bott_index_sequence(p, len(oracle)) matches the oracle m by m up to its
+    first collision, and raises at that m with the same phase index."""
+    m_max = len(oracle)
+    values = [value for value, _ in oracle]
+    collisions = [collision for _, collision in oracle if collision is not None]
+    if not collisions:
+        assert bott_index_sequence(p, m_max) == values
+        return
+    m, phase_index = collisions[0]
+    try:
+        bott_index_sequence(p, m_max)
+    except PhaseCollision as exc:
+        assert (exc.m, exc.phase_index) == (m, phase_index)
+    else:
+        raise AssertionError(f"no collision up to {m_max}; the oracle collides at m = {m}")
+    if m > 1:
+        assert bott_index_sequence(p, m - 1) == values[: m - 1]
 
 
 def test_criterion_8_oracle_equivalence():
@@ -164,8 +186,8 @@ def test_criterion_8_oracle_equivalence():
             probes = {1, 2, *(rng.randint(3, 500) for _ in range(4))}
             for m in sorted(probes):
                 _compare_engines(p, m)
-        # Denser tier: every m up to 500 on a small sample.
+        # Denser tier: every m up to 500 on a small sample, and the whole
+        # sequence in one call.
         for _ in range(10):
             p = make_random_profile(rng)
-            for m in range(1, 501):
-                _compare_engines(p, m)
+            _compare_sequence(p, [_compare_engines(p, m) for m in range(1, 501)])

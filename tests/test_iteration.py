@@ -18,6 +18,7 @@ from bottiter import (
     iterate_index,
     jump_search,
 )
+from bottiter import _purekernel
 from bottiter.reference import naive_index
 
 from conftest import make_random_profile
@@ -30,14 +31,29 @@ class TestIterate:
 
     def test_running_first_values(self, running_profile):
         assert bott_index_sequence(running_profile, 5) == [3, 5, 7, 7, 9]
+        # Denominators far beyond 64 bits stay exact.
+        huge = 10**20
+        p = IndexProfile(
+            4,
+            (3, 2, 1, 2),
+            (Fraction(1, huge), Fraction(2, huge), Fraction(1, 4) + Fraction(3, huge)),
+            (1, 1, 1),
+        )
+        assert bott_index_sequence(p, 40)[:6] == [3, 5, 7, 7, 9, 11]
 
     def test_against_naive_oracle(self, running_profile):
         for m in range(1, 60):
             assert bott_index(running_profile, m) == naive_index(running_profile, m)
+        assert bott_index_sequence(running_profile, 96) == [
+            naive_index(running_profile, m) for m in range(1, 97)
+        ]
 
     def test_collision_at_denominator(self, running_profile):
         with pytest.raises(PhaseCollision):
             bott_index(running_profile, 97)
+        with pytest.raises(PhaseCollision) as info:
+            bott_index_sequence(running_profile, 120)
+        assert info.value.m == 97
 
     def test_report_consistency(self, running_profile):
         report = iterate_index(running_profile, 5)
@@ -153,6 +169,42 @@ class TestJumpSearch:
         p = IndexProfile(3, (0,))
         with pytest.raises(PrecondViolation, match="positive average index"):
             jump_search(p, 10)
+
+
+def _kernel_sequence_vs_per_m(arcs: list[int], phases: list[Fraction], m_max: int):
+    pnum = [t.numerator for t in phases]
+    pden = [t.denominator for t in phases]
+    outcomes = []
+    for run in (
+        lambda: _purekernel.index_sequence(arcs, pnum, pden, m_max),
+        lambda: [_purekernel.index_at(arcs, pnum, pden, m) for m in range(1, m_max + 1)],
+    ):
+        try:
+            outcomes.append(("ok", run()))
+        except PhaseCollision as exc:
+            outcomes.append(("collision", exc.m, exc.phase_index, str(exc)))
+    return outcomes
+
+
+def test_sequence_matches_per_m_kernel():
+    # The event-driven sequence equals index_at term by term, and raises
+    # the same collision (m, phase index, message) as the per-m loop.
+    rng = random.Random(2006)
+    for _ in range(300):
+        p = make_random_profile(rng)
+        sequence, per_m = _kernel_sequence_vs_per_m(
+            list(p.arc_values), list(p.phases), rng.randint(1, 700)
+        )
+        assert sequence == per_m
+        assert _kernel_sequence_vs_per_m(list(p.arc_values), list(p.phases), 0) == [("ok", [])] * 2
+    # Mixed denominators (the collision is not always at phase 0), and
+    # phases outside [0, 1), which whole turns shift by a linear term.
+    for _ in range(300):
+        l = rng.randint(1, 4)
+        phases = [Fraction(rng.randint(-90, 180), rng.randint(2, 120)) for _ in range(l)]
+        arcs = [rng.randint(-4, 12) for _ in range(l + 1)]
+        sequence, per_m = _kernel_sequence_vs_per_m(arcs, phases, rng.randint(1, 60))
+        assert sequence == per_m
 
 
 def test_collision_semantics_match_preconditions():
