@@ -15,12 +15,18 @@ one prime geodesic c.  Then the profile of c must satisfy, in order,
   6. no index jump of size 2*ind(c) = 2n - 2 >= 6 (n >= 4), although the
      common-index-jump theorem guarantees one eventually.
 
-`verify_theorem` enumerates every phase-free candidate skeleton, covers
-its full average-index range with exact certificates, instantiates
-representative phase vectors for the average indices the relation in
-step 3 allows, and runs the pipeline on each.  Every candidate must be
-contradicted; a "consistent-up-to-horizon" outcome is an explicit,
-reportable verdict, never silent.
+`verify_theorem` accounts for every phase-free candidate skeleton, and
+walks only those that can survive step 3.  Skeletons with the wrong prime
+index are counted in closed form.  So are those whose arc values all stay
+>= 2: their average index lies in the open hull (min I, max I), or equals
+I_1 = n - 1 when the arcs are constant, so it is >= 2.  Both targets the
+relation allows, relation and relation/2, are < 2, so these skeletons get
+the class certificate and two phase-infeasible certificates.  The rest
+have their average-index range covered by exact certificates, and
+representative phase vectors for the allowed targets go through the
+pipeline.  Every candidate must be contradicted; a
+"consistent-up-to-horizon" outcome is an explicit, reportable verdict,
+never silent.
 """
 
 from __future__ import annotations
@@ -56,10 +62,14 @@ STEP_IDS = (
 )
 
 # Canonical instantiation places the free phases at consecutive grid points
-# starting at 3/Q.  Offsets 1 and 2 leave an n=4 candidate that no pipeline
-# step can refute within the CI horizon (its first forbidden index jump
-# falls outside every scanned window); offset 3 keeps all runs refutable
-# while still exercising the jump-clash step.
+# starting at 3/Q.  Measured over n = 3..8 at (H, Q) = (200, 499) and
+# (10000, 20011):
+#   - offsets 1 and 2 leave survivors at n = 4, 6, 7 and 8 at both scales
+#     (offset 1: 2, 5, 6, 5; offset 2: 1, 1, 2, 1), and at offset 1
+#     jump-clash fires once, at n = 8;
+#   - offset 3 leaves none, and jump-clash fires only at n = 4 at CI scale;
+#   - offsets 4 and 5 leave none, and jump-clash never fires.
+# So the verdict and the jump-clash tally depend on this constant.
 _GRID_OFFSET = 3
 
 
@@ -161,35 +171,43 @@ def validate_signature(s: Signature) -> list[str]:
     return violations
 
 
-def _arc_sequences(n: int, first: int | None = None) -> Iterator[tuple[int, ...]]:
+def _arc_sequences(
+    n: int, first: int | None = None, dip: int | None = None
+) -> Iterator[tuple[int, ...]]:
     """Arc sequences in enumeration order: by length 1..n, then
     lexicographically.
 
     Values lie in 0..2(n-1) and each consecutive jump |dI_j| costs
     max(1, |dI_j|) of the shared nullity budget n - 1.  With `first`, only
-    the sequences with I_1 = first.
+    the sequences with I_1 = first.  With `dip`, only the sequences with
+    some value <= dip: a prefix that has not dipped is walked only while it
+    still can, that is while last - room <= dip.
     """
     vmax = 2 * (n - 1)
     budget = n - 1
+    low = vmax if dip is None else dip
     starts = range(vmax + 1) if first is None else (first,)
     seq: list[int] = []
 
-    def extend(length: int, spent: int) -> Iterator[tuple[int, ...]]:
+    def extend(length: int, spent: int, dipped: bool) -> Iterator[tuple[int, ...]]:
         if len(seq) == length:
-            yield tuple(seq)
+            if dipped:
+                yield tuple(seq)
             return
         last, room = seq[-1], budget - spent
         if room < 1:
             return
         for v in range(max(0, last - room), min(vmax, last + room) + 1):
-            seq.append(v)
-            yield from extend(length, spent + max(1, abs(v - last)))
-            seq.pop()
+            cost = max(1, abs(v - last))
+            if dipped or v - (room - cost) <= low:
+                seq.append(v)
+                yield from extend(length, spent + cost, dipped or v <= low)
+                seq.pop()
 
     for length in range(1, n + 1):
         for v in starts:
             seq.append(v)
-            yield from extend(length, 0)
+            yield from extend(length, 0, v <= low)
             seq.pop()
 
 
@@ -224,15 +242,16 @@ def _split_count(l: int, spent: int, budget: int) -> int:
     return math.comb(budget - spent + l, l)
 
 
-def _count_wrong_prime_index(n: int) -> int:
-    """Number of signatures enumerate_signatures(n) yields with I_1 != n - 1.
+def _count_signatures(n: int, starts, floor: int = 0) -> int:
+    """Number of signatures enumerate_signatures(n) yields whose arc
+    sequence starts at a value in `starts` and never drops below `floor`.
 
     A DP over arc prefixes: ways[(v, s)] counts the prefixes of the current
-    length that start at I_1 != n - 1, end at value v and have spent s of
-    the budget; each complete sequence stands for its nullity splits.
+    length that end at value v and have spent s of the budget; each
+    complete sequence stands for its nullity splits.
     """
     vmax, budget = 2 * (n - 1), n - 1
-    ways = {(v, 0): 1 for v in range(vmax + 1) if v != n - 1}
+    ways = {(v, 0): 1 for v in starts if v >= floor}
     total = 0
     for l in range(n):
         total += sum(c * _split_count(l, s, budget) for (_, s), c in ways.items())
@@ -241,11 +260,16 @@ def _count_wrong_prime_index(n: int) -> int:
             room = budget - s
             if room < 1:
                 continue
-            for w in range(max(0, v - room), min(vmax, v + room) + 1):
+            for w in range(max(floor, v - room), min(vmax, v + room) + 1):
                 key = (w, s + max(1, abs(w - v)))
                 longer[key] = longer.get(key, 0) + c
         ways = longer
     return total
+
+
+def _count_wrong_prime_index(n: int) -> int:
+    """Number of signatures enumerate_signatures(n) yields with I_1 != n - 1."""
+    return _count_signatures(n, (v for v in range(2 * n - 1) if v != n - 1))
 
 
 def enumerate_signatures(n: int) -> Iterator[Signature]:
@@ -736,14 +760,20 @@ def verify_theorem(n: int, horizon: int, q: int) -> VerificationSummary:
     The tallies are those of running every signature of
     enumerate_signatures(n) through the search, but the work is done once
     per arc sequence: nothing below reads the nullities, so each outcome
-    counts for all of the sequence's nullity splits.  Signatures with the
-    wrong prime index are counted in closed form.  Of the rest, skeletons
-    whose second iterate lands back on degree n-1 die outright; every other
-    one gets one exact certificate for every profile whose average index
-    differs from the value the relation forces for its parity invariant,
-    and then representative instantiations at the allowed targets (both
-    parity magnitudes; the mismatched one dies in-pipeline) run through the
-    full pipeline.
+    counts for all of the sequence's nullity splits.  Two classes are
+    counted in closed form, without walking their sequences: signatures
+    with the wrong prime index, and those with I_1 = n - 1 whose arc values
+    all stay >= 2.  Such a signature's average index lies in the open hull
+    (min I, max I), or is forced to n - 1 when the arcs are constant, so it
+    is >= 2; both allowed targets, relation and relation/2, are < 2.  So it
+    gets the class certificate and two phase-infeasible certificates, just
+    as phase_instantiate would find.  Of the walked sequences, which dip to
+    a value <= 1, skeletons whose second iterate lands back on degree n-1
+    die outright; every other one gets one exact certificate for every
+    profile whose average index differs from the value the relation forces
+    for its parity invariant, and then representative instantiations at
+    the allowed targets (both parity magnitudes; the mismatched one dies
+    in-pipeline) run through the full pipeline.
     """
     if not 3 <= n <= 8:
         raise PrecondViolation(f"3 <= n <= 8 required, got n = {n}")
@@ -757,11 +787,16 @@ def verify_theorem(n: int, horizon: int, q: int) -> VerificationSummary:
     budget = n - 1
     by_step = {step: 0 for step in STEP_IDS}
     by_step["index-of-prime"] = _count_wrong_prime_index(n)
+    # The hull certificate above: sequences that never dip below 2 reach
+    # neither target.
+    above_one = _count_signatures(n, (n - 1,), floor=2)
+    by_step["average-relation"] += above_one
+    by_step["phase-infeasible"] += 2 * above_one
     survivors: list = []
     prop33_checked = 0
     prop33_failures: list = []
 
-    for arcs in _arc_sequences(n, first=n - 1):
+    for arcs in _arc_sequences(n, first=n - 1, dip=1):
         mins = _jump_costs(arcs)
         splits = _split_count(len(mins), sum(mins), budget)
         if arcs[-1] == 0:

@@ -35,6 +35,7 @@ from bottiter import (
 from bottiter.morse import aggregate_w, morse_q_recursion
 from bottiter.verifier import (
     _arc_sequences,
+    _count_signatures,
     _count_wrong_prime_index,
     _jump_costs,
     _null_splits,
@@ -152,20 +153,41 @@ class TestEnumerateSignatures:
         produced = set((s.arc_values, s.nullities) for s in enumerate_signatures(3))
         assert produced == expected
 
-    @pytest.mark.parametrize("n", range(3, 8))
+    @pytest.mark.parametrize("n", range(3, 9))
     def test_closed_form_counts(self, n):
-        # verify_theorem generates only arc sequences with I_1 = n - 1 and
-        # counts the rest; together they must cover the enumeration.
-        signatures = list(enumerate_signatures(n))
-        wrong = sum(1 for s in signatures if s.arc_values[0] != n - 1)
+        # verify_theorem walks only the arc sequences with I_1 = n - 1 that
+        # dip to a value <= 1, and counts the rest; the three parts must
+        # cover the enumeration.
+        total = wrong = 0
+        for s in enumerate_signatures(n):
+            total += 1
+            wrong += s.arc_values[0] != n - 1
         assert _count_wrong_prime_index(n) == wrong
+        above_one = _count_signatures(n, (n - 1,), floor=2)
+        walked = list(_arc_sequences(n, first=n - 1, dip=1))
+        assert walked == [a for a in _arc_sequences(n, first=n - 1) if min(a) <= 1]
         generated = 0
-        for arcs in _arc_sequences(n, first=n - 1):
+        for arcs in walked:
             mins = _jump_costs(arcs)
             count = _split_count(len(mins), sum(mins), n - 1)
             assert count == len(list(_null_splits(mins, n - 1)))
             generated += count
-        assert generated + wrong == len(signatures)
+        assert wrong + above_one + generated == total
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_skipped_sequences_are_phase_infeasible(self, n):
+        # The sequences the walk skips are counted as infeasible at both
+        # magnitudes; phase_instantiate must agree, at both scales.
+        walked = set(_arc_sequences(n, first=n - 1, dip=1))
+        skipped = [a for a in _arc_sequences(n, first=n - 1) if a not in walked]
+        assert skipped
+        relation = average_relation_value(n)
+        for arcs in skipped:
+            s = Signature(n, arcs, _jump_costs(arcs))
+            for horizon, q in ((200, 499), (10000, 20011)):
+                for magnitude in (Fraction(1), Fraction(1, 2)):
+                    outcome = phase_instantiate(s, relation * magnitude, q, horizon=horizon)
+                    assert isinstance(outcome, PhaseInfeasible), (arcs, horizon, magnitude)
 
 
 class TestPhaseInstantiate:
@@ -338,6 +360,8 @@ class TestVerifyTheorem:
             (6, 200, 499, 0),
             (6, 200, 601, 1),
             (6, 200, 1009, 5),
+            (7, 200, 499, 0),
+            (7, 200, 1009, 10),
             (4, 10000, 32083, 2),
         ],
     )
