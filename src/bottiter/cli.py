@@ -4,11 +4,17 @@ One subcommand per library operation, text profile documents in, CSV or
 structured JSON out.  Data sections are byte-identical across runs with
 identical inputs; diagnostics go to stderr.  Exit status: 0 on success,
 2 on any input error, 1 for a verify run that reports survivors.
+
+Structured output is exactly the bytes of `json.dumps(obj, indent=2)`
+plus a newline.  `_json_indent2` writes them through the C encoder, which
+CPython uses only without `indent`, so a long list costs one C call.  The
+argument parser is built once per process, on the first call to `main`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -31,8 +37,31 @@ def _emit_csv(header: str, rows) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
+def _json_indent2(obj, pad: str = "") -> str:
+    """`json.dumps(obj, indent=2)` for str-keyed dicts, lists and scalars.
+
+    A list that holds no dict or list is encoded in one C call: with ",\n"
+    and the next indent as the item separator, its items come out one per
+    line.  It is told apart by the set of its item types, built in C too.
+    """
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        body = ",\n".join(
+            f"{inner}{json.dumps(key)}: {_json_indent2(value, inner)}"
+            for key, value in obj.items()
+        )
+        return f"{{\n{body}\n{pad}}}"
+    if isinstance(obj, (list, tuple)) and obj:
+        if any(issubclass(kind, (dict, list, tuple)) for kind in set(map(type, obj))):
+            body = ",\n".join(inner + _json_indent2(item, inner) for item in obj)
+        else:
+            body = inner + json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
+        return f"[\n{body}\n{pad}]"
+    return json.dumps(obj)
+
+
 def _emit_structured(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    sys.stdout.write(_json_indent2(obj) + "\n")
 
 
 def _cmd_betti(args) -> int:
@@ -191,6 +220,7 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bottiter",

@@ -72,13 +72,20 @@ def _poly_add(a: list[int], b: list[int]) -> list[int]:
 
 
 def _series_div(num: list[int], den: list[int], max_degree: int) -> list[int]:
-    """Coefficients of num/den up to max_degree; den must be monic at t^0."""
+    """Coefficients of num/den up to max_degree; den must be monic at t^0.
+
+    The recurrence visits only the nonzero coefficients of den, at most
+    four for (1 - t^2)(1 - t^s) whatever s is.
+    """
     assert den[0] == 1
+    terms = [(i, d) for i, d in enumerate(den) if i and d]
     coeffs = [0] * (max_degree + 1)
     for k in range(max_degree + 1):
         c = num[k] if k < len(num) else 0
-        for i in range(1, min(k, len(den) - 1) + 1):
-            c -= den[i] * coeffs[k - i]
+        for i, d in terms:
+            if i > k:
+                break
+            c -= d * coeffs[k - i]
         coeffs[k] = c
     return coeffs
 

@@ -80,6 +80,21 @@ def iterate_index(p: IndexProfile, m: int) -> IterateIndexReport:
     return IterateIndexReport(m=m, index=index, arc_hits=tuple(hits), even_contribution=even)
 
 
+def _root_sum(p: IndexProfile, big_m: int, j_max: int) -> int:
+    """sum_{1 <= j <= j_max} I(e(j / big_m)) for a profile no point hits.
+
+    c_k = min(j_max, floor(big_m * t_k)) points lie below t_k, so arc k
+    holds c_k - c_{k-1} of them (c_0 = 0, c_{l+1} = j_max).
+    """
+    total = 0
+    below = 0
+    for value, t in zip(p.arc_values, p.phases):
+        c = min(j_max, big_m * t.numerator // t.denominator)
+        total += value * (c - below)
+        below = c
+    return total + p.arc_values[-1] * (j_max - below)
+
+
 def gap_decomposition(p: IndexProfile, m: int) -> tuple[int, int, set[int]]:
     """Split ind(c^{m+1}) - ind(c^m) into the endpoint term A_m and the
     interior resummation term B_m, for profiles with I_c(-1) = 2.
@@ -87,6 +102,19 @@ def gap_decomposition(p: IndexProfile, m: int) -> tuple[int, int, set[int]]:
         A_m = 2                              for odd m,
         A_m = 2 * I(e(m / (2m+2))) - 2       for even m,
         B_m = 2 * sum_{1 <= j < m/2} [ I(e(j/(m+1))) - I(e(j/m)) ].
+
+    B_m is counted per arc in O(l) exact integers: with J = floor((m-1)/2),
+
+        sum_{1 <= j <= J} I(e(j/M)) = sum_k I_k * (c_k - c_{k-1}),
+        c_k = min(J, ceil(M * t_k) - 1),  c_0 = 0,  c_{l+1} = J,
+
+    taken at M = m+1 and M = m.  Once no point j/M with j <= J hits t_k,
+    c_k = min(J, floor(M * t_k)), the count `_purekernel.index_at` uses.
+
+    A point that hits a phase raises PhaseCollision for the first such
+    point of a point-by-point scan: the A_m point, then smallest j,
+    j/(m+1) before j/m.  Phases must be those of a valid profile
+    (strictly increasing in (0, 1/2)).
 
     Also returns J_m = { p : p/(m+1) < t_l < p/m, p < m/2 }, the only
     positions where a term of B_m can be negative (there is at most one).
@@ -101,12 +129,16 @@ def gap_decomposition(p: IndexProfile, m: int) -> tuple[int, int, set[int]]:
         a_m = 2
     else:
         a_m = 2 * evaluate_index_function(p, Fraction(m, 2 * m + 2)) - 2
-    b_m = 0
-    for j in range(1, (m + 1) // 2):
-        b_m += evaluate_index_function(p, Fraction(j, m + 1)) - evaluate_index_function(
-            p, Fraction(j, m)
-        )
-    b_m *= 2
+    j_max = (m - 1) // 2
+    # The scan meets j/(m+1) < j/m < (j+1)/(m+1) in increasing order, so its
+    # first collision is at the smallest phase some point hits; j/M equals
+    # t = a/q (lowest terms) iff q divides M*a, at j = M*a/q.
+    for idx, t in enumerate(p.phases):
+        for big_m in (m + 1, m):
+            j, rem = divmod(big_m * t.numerator, t.denominator)
+            if rem == 0 and 1 <= j <= j_max:
+                raise PhaseCollision(t, idx)
+    b_m = 2 * (_root_sum(p, m + 1, j_max) - _root_sum(p, m, j_max))
     j_set: set[int] = set()
     if p.phases:
         t_last = p.phases[-1]

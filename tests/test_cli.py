@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from bottiter import profile_from_document, validate_profile
+from bottiter import cli, profile_from_document, validate_profile
 
 RUNNING = '{ "n": 4, "I": [3,2,1,2], "t": ["10/97","13/97","31/97"], "N": [1,1,1] }'
 
@@ -141,3 +143,100 @@ def test_byte_identical_reruns(profile_path):
         second = run_cli(*args)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode
+
+
+def run_in_process(*args):
+    """(exit code, stdout, stderr) of one `cli.main` call in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # argparse errors and --help exit this way
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_structured_output_is_indent2_json(profile_path, tmp_path):
+    # Flat lists go through the C encoder one call each; the bytes must
+    # still be those of json.dumps(payload, indent=2).
+    unmet = tmp_path / "unmet.json"
+    unmet.write_text('{ "n": 3, "I": [2], "t": [], "N": [] }')
+    cases = [
+        ("betti", "--n", "4", "--max-k", "10"),
+        ("betti", "--n", "4", "--max-k", "0"),
+        ("iterate", "--profile", profile_path, "--max-m", "10"),
+        ("alpha", "--profile", profile_path),
+        ("gamma", "--profile", profile_path),
+        ("gaps", "--profile", profile_path, "--m", "3"),
+        ("gaps", "--profile", profile_path, "--m", "1"),
+        ("jumps", "--profile", profile_path, "--horizon", "40"),
+        ("jumps", "--profile", profile_path, "--horizon", "3"),
+        ("morse", "--profile", profile_path, "--max-k", "8"),
+        ("morse", "--profile", profile_path, "--max-k", "2"),
+        ("prop33", "--profile", profile_path),
+        ("prop33", "--profile", str(unmet)),
+        ("verify", "--n", "3", "--horizon", "200", "--q", "499"),
+        ("verify", "--n", "6", "--horizon", "200", "--q", "601"),
+    ]
+    payloads = {}
+    for args in cases:
+        code, out, _ = run_in_process(*args)
+        assert code in (0, 1), args
+        payload = json.loads(out)
+        assert out == json.dumps(payload, indent=2) + "\n", args
+        payloads[args] = payload
+    # The cases reach the shapes the writer treats apart.
+    assert payloads[cases[6]]["J_m"] == [] and payloads[cases[8]]["k"] == []
+    assert payloads[cases[10]]["first_violation"] is None
+    assert payloads[cases[9]]["feasible"] is False
+    assert payloads[cases[12]]["hypotheses_met"] is False
+    assert payloads[cases[13]]["survivors"] == []
+    assert isinstance(payloads[cases[14]]["by_step"], dict)
+    [survivor] = payloads[cases[14]]["survivors"]
+    assert validate_profile(profile_from_document(survivor)) == []
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        None,
+        {"a": [], "b": {}, "c": [[1, [2, []]], {"d": None}],
+         "e": [True, False, 1.5, "x\"\n\u00e9"]},
+        [[1, 2], [3], ["s"]],
+        {"t": (1, (2, 3))},
+    ],
+)
+def test_indent2_writer_on_nested_values(obj):
+    assert cli._json_indent2(obj) == json.dumps(obj, indent=2)
+
+
+def test_repeated_main_calls_match_fresh_processes(profile_path, tmp_path, monkeypatch):
+    # One process answering many calls, with argparse errors and bad
+    # profiles in between, prints what a fresh process prints for each.
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap at this width
+    bad = tmp_path / "bad.json"
+    bad.write_text('{ "n": 4, "I": [3,2,1,2], "t": ["13/97","10/97","31/97"], "N": [1,1,1] }')
+    calls = [
+        ("gaps", "--profile", profile_path, "--m", "4"),
+        ("alpha", "--profile", profile_path, "--frobnicate"),
+        ("morse", "--profile", profile_path, "--max-k", "8", "--format", "csv"),
+        ("alpha", "--profile", str(bad)),
+        ("iterate", "--profile", profile_path, "--max-m", "100"),
+        ("--help",),
+        ("iterate", "--help"),
+        ("betti", "--n", "5", "--max-k", "12"),
+        ("verify", "--n", "6", "--horizon", "200", "--q", "601", "--format", "csv"),
+        ("gaps", "--profile", profile_path),
+        ("gaps", "--profile", profile_path, "--m", "4"),
+    ]
+    builds = cli._build_parser.cache_info().misses
+    codes = []
+    for args in calls:
+        fresh = run_cli(*args)
+        code, out, err = run_in_process(*args)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), args
+        codes.append(code)
+    assert codes == [0, 2, 0, 2, 2, 0, 0, 0, 1, 2, 0]
+    assert cli._build_parser.cache_info().misses <= max(builds, 1)

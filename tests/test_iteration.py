@@ -19,7 +19,7 @@ from bottiter import (
     jump_search,
 )
 from bottiter import _purekernel
-from bottiter.reference import naive_index
+from bottiter.reference import naive_gap_decomposition, naive_index
 
 from conftest import make_random_profile
 
@@ -135,6 +135,35 @@ class TestGapDecomposition:
         for m in (1, 2, 3, 8):
             a, b, j_set = gap_decomposition(p, m)
             assert a + b == 2 and b == 0 and j_set == set()
+
+    def test_matches_point_by_point_oracle(self):
+        # Small denominators, mixed within a profile, make the points
+        # j/(m+1), j/m and m/(2m+2) hit phases often, and not only t_1; a
+        # collision must name the same point and phase as the oracle's.
+        rng = random.Random(1956)
+        profiles = 0
+        hit_phases = set()
+        while profiles < 300:
+            p = make_random_profile(rng, denominators=(11, 23, 97))
+            if p.index_at_minus_one != 2:
+                continue
+            phases = {Fraction(rng.randint(1, (q - 1) // 2), q)
+                      for q in rng.choices((11, 23, 97), k=p.l)}
+            if len(phases) < p.l:
+                continue
+            p = IndexProfile(p.n, p.arc_values, sorted(phases), p.nullities)
+            profiles += 1
+            for m in {1, 2, rng.randint(3, 30), rng.randint(3, 240)}:
+                outcomes = []
+                for run in (gap_decomposition, naive_gap_decomposition):
+                    try:
+                        outcomes.append(run(p, m))
+                    except PhaseCollision as exc:
+                        outcomes.append((type(exc), exc.point, exc.phase_index, str(exc)))
+                assert outcomes[0] == outcomes[1], (p, m)
+                if isinstance(outcomes[0][0], type):
+                    hit_phases.add(outcomes[0][2])
+        assert hit_phases >= {0, 1, 2}
 
 
 class TestJumpSearch:

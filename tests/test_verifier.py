@@ -343,6 +343,16 @@ class TestVerifyTheorem:
             "phase-infeasible": 32,
         }
 
+    def test_jump_clash_fixture(self):
+        # The n = 4 profile that verify_theorem(4, 200, 499) kills at
+        # jump-clash, written out so the step is pinned without the search.
+        p = IndexProfile(4, (3, 2, 1, 2), ("3/499", "4/499", "527/1996"), (1, 1, 1))
+        verdict = single_geodesic_pipeline(4, p, 200)
+        assert verdict != CONSISTENT
+        assert verdict.failed_step == "jump-clash"
+        assert verdict.witness["k"] == 166
+        _recheck_witness(verdict, 4, 200)
+
     def test_n4_exercises_jump_clash(self):
         summary = verify_theorem(4, 200, 499)
         assert summary.survivors == []
