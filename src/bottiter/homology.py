@@ -113,12 +113,16 @@ def poincare_coefficients(n: int, max_degree: int) -> BettiTable:
 
 
 def betti_table(n: int, max_degree: int) -> BettiTable:
-    """Rule-based table over 0..max_degree (same shape as the series route)."""
-    return BettiTable(
-        n=n,
-        max_degree=max_degree,
-        ranks=tuple(betti_number(n, k) for k in range(max_degree + 1)),
-    )
+    """Rule-based table over 0..max_degree (same shape as the series route):
+    b_k = 1 on k = n-1, n+1, ..., raised to 2 on k = 3(n-1), 5(n-1), ...
+    for even n and on k = 2(n-1), 3(n-1), ... for odd n."""
+    ranks = [0] * (max_degree + 1)
+    if ranks:
+        _check_n(n)
+        start, step = (3 * (n - 1), 2 * (n - 1)) if n % 2 == 0 else (2 * (n - 1), n - 1)
+        ranks[n - 1 :: 2] = [1] * len(range(n - 1, max_degree + 1, 2))
+        ranks[start::step] = [2] * len(range(start, max_degree + 1, step))
+    return BettiTable(n=n, max_degree=max_degree, ranks=tuple(ranks))
 
 
 def average_euler_number(n: int) -> Fraction:

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
 from . import kernel
 from .errors import PhaseCollision, PrecondViolation
 from .profile import IndexProfile, average_index, evaluate_index_function
-
-HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -161,13 +161,21 @@ def jump_search(p: IndexProfile, horizon: int) -> list[int]:
         raise PrecondViolation(f"horizon = {horizon} must be positive")
     if average_index(p) <= 0:
         raise PrecondViolation("jump search requires a positive average index")
+    return jump_scan(partial(bott_index_sequence, p), p.phases, horizon, 2 * p.index_at_one)
+
+
+def jump_scan(
+    prefix: Callable[[int], list[int]], phases: tuple[Fraction, ...], horizon: int, jump: int
+) -> list[int]:
+    """`jump_search` on prefix(m) = [ind(c^1), ..., ind(c^m)] of a profile
+    with these phases, jump = 2 * ind(c).  A denominator <= 2*horizon + 1
+    raises PrecondViolation, naming the first such phase, before any read."""
     threshold = 2 * horizon + 1
-    for j, t in enumerate(p.phases):
+    for j, t in enumerate(phases):
         if t.denominator <= threshold:
             raise PrecondViolation(
                 f"phase t_{j + 1} = {t} has denominator <= 2*horizon + 1 = {threshold}; "
                 "the scan would collide"
             )
-    seq = bott_index_sequence(p, 2 * horizon + 1)
-    target = 2 * p.index_at_one
-    return [k for k in range(1, horizon + 1) if seq[2 * k] - seq[2 * k - 2] == target]
+    seq = prefix(threshold)
+    return [k for k in range(1, horizon + 1) if seq[2 * k] - seq[2 * k - 2] == jump]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .errors import PrecondViolation
@@ -47,7 +48,25 @@ def iterate_cutoff(p: IndexProfile, max_degree: int) -> int:
     alpha = average_index(p)
     if alpha <= 0:
         raise PrecondViolation("aggregation requires a positive average index")
-    return max(1, math.ceil((max_degree + p.n - 1) / alpha))
+    return cutoff_for(p.n, alpha, max_degree)
+
+
+def cutoff_for(n: int, alpha: Fraction, max_degree: int) -> int:
+    """`iterate_cutoff` for dimension n and average index alpha > 0."""
+    return max(1, math.ceil((max_degree + n - 1) / alpha))
+
+
+def count_w(sequence: Sequence[int], gamma: Fraction, max_degree: int) -> list[int]:
+    """w_k for k = 0..max_degree from [ind(c^1), ..., ind(c^cutoff)] and the
+    parity invariant gamma: odd iterates count only when |gamma| = 1."""
+    odd_counts = abs(gamma) == 1
+    w = [0] * (max_degree + 1)
+    for m, index in enumerate(sequence, start=1):
+        if m % 2 == 1 and not odd_counts:
+            continue
+        if index <= max_degree:
+            w[index] += 1
+    return w
 
 
 def aggregate_w(p: IndexProfile, max_degree: int) -> list[int]:
@@ -56,15 +75,7 @@ def aggregate_w(p: IndexProfile, max_degree: int) -> list[int]:
     if max_degree < 0:
         raise PrecondViolation(f"max_degree = {max_degree} must be >= 0")
     cutoff = iterate_cutoff(p, max_degree)
-    sequence = bott_index_sequence(p, cutoff)
-    odd_counts = abs(gamma_invariant(p)) == 1
-    w = [0] * (max_degree + 1)
-    for m, index in enumerate(sequence, start=1):
-        if m % 2 == 1 and not odd_counts:
-            continue
-        if index <= max_degree:
-            w[index] += 1
-    return w
+    return count_w(bott_index_sequence(p, cutoff), gamma_invariant(p), max_degree)
 
 
 def morse_q_recursion(w: Sequence[int], b: Sequence[int]) -> MorseReport:

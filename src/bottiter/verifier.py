@@ -27,6 +27,13 @@ representative phase vectors for the allowed targets go through the
 pipeline.  Every candidate must be contradicted; a
 "consistent-up-to-horizon" outcome is an explicit, reportable verdict,
 never silent.
+
+Each pipeline step reads only the skeleton, the average index and a
+prefix of the Bott sequence.  Steps 1-3 need ind(c) and ind(c^2) alone; a
+candidate that passes them gets one Bott sequence, computed once up to
+min(2H + 1, smallest phase denominator - 1), and steps 3'-6 read its
+prefix.  The pipeline hands the staircase report back with its verdict,
+so each candidate is checked against the proposition once.
 """
 
 from __future__ import annotations
@@ -34,12 +41,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Union
+from functools import partial
+from typing import Callable, Iterator, Union
 
-from .errors import HypothesesNotMet, PhaseCollision, PrecondViolation
-from .homology import betti_number
-from .iteration import bott_index, bott_index_sequence, jump_search
-from .morse import aggregate_w, morse_q_recursion
+from .errors import HypothesesNotMet, PrecondViolation
+from .homology import betti_number, betti_table
+from .iteration import bott_index, bott_index_sequence, jump_scan
+from .morse import count_w, cutoff_for, morse_q_recursion
 from .profile import (
     HALF,
     IndexProfile,
@@ -303,10 +311,54 @@ def extremal_profile(n: int, phases) -> IndexProfile:
     return IndexProfile(n, arcs, phases, (1,) * (n - 1))
 
 
-def _safe_prop33_horizon(p: IndexProfile, cap: int) -> int:
-    if not p.phases:
-        return cap
-    return min(cap, min(t.denominator for t in p.phases) - 1)
+def _collision_free_length(p: IndexProfile, cap: int) -> int:
+    """min(cap, smallest phase denominator - 1): no iterate up to it collides."""
+    return min([cap] + [t.denominator - 1 for t in p.phases])
+
+
+def _staircase_report(
+    n: int, arcs: tuple[int, ...], alpha: Fraction, gamma: Fraction,
+    ind1: int, ind2: int, horizon: int, prefix: Callable[[int], list[int]],
+) -> Prop33Report:
+    """The staircase proposition on a valid profile with these arc values,
+    average index, parity invariant, ind(c) and ind(c^2).  prefix(m)
+    returns [ind(c^1), ..., ind(c^m)]; it is asked for the horizon only once
+    the hypotheses hold, and HypothesesNotMet is raised when they do not.
+    """
+    met = {
+        "ind_c_is_n_minus_1": ind1 == n - 1,
+        "ind_c2_at_least_n": ind2 >= n,
+        "alpha_below_twice_gamma": alpha < 2 * abs(gamma),
+    }
+    if not all(met.values()):
+        raise HypothesesNotMet(
+            f"hypotheses not met: ind(c)={ind1}, ind(c^2)={ind2}, "
+            f"alpha={alpha}, gamma={gamma}"
+        )
+    hypotheses = {"ind_c": ind1, "ind_c2": ind2, "alpha": alpha, "gamma": gamma, **met}
+    conclusion_a = (
+        gamma == Fraction((-1) ** (n - 1)) and alpha > 1 and ind2 == n + 1
+    )
+    l = len(arcs) - 1
+    conclusion_b = (
+        l >= 1
+        and arcs[0] == n - 1
+        and all(arcs[j] > arcs[j + 1] for j in range(l - 1))
+        and arcs[l - 1] == 1
+        and arcs[l] == 2
+    )
+    seq = prefix(horizon)
+    first_decrease = next(
+        (m for m in range(1, horizon) if seq[m] < seq[m - 1]), None
+    )
+    return Prop33Report(
+        hypotheses=hypotheses,
+        conclusion_a=conclusion_a,
+        conclusion_b=conclusion_b,
+        conclusion_c=first_decrease is None,
+        horizon=horizon,
+        details={"first_decrease_at": first_decrease},
+    )
 
 
 def check_prop33(p: IndexProfile, horizon: int | None = None) -> Prop33Report:
@@ -324,55 +376,11 @@ def check_prop33(p: IndexProfile, horizon: int | None = None) -> Prop33Report:
     bad = validate_profile(p)
     if bad:
         raise PrecondViolation(f"invalid profile: {bad[0]}")
-    n = p.n
-    ind1 = bott_index(p, 1)
-    ind2 = bott_index(p, 2)
-    alpha = average_index(p)
-    gamma = gamma_invariant(p)
-    hypotheses = {
-        "ind_c": ind1,
-        "ind_c2": ind2,
-        "alpha": alpha,
-        "gamma": gamma,
-        "ind_c_is_n_minus_1": ind1 == n - 1,
-        "ind_c2_at_least_n": ind2 >= n,
-        "alpha_below_twice_gamma": alpha < 2 * abs(gamma),
-    }
-    if not (
-        hypotheses["ind_c_is_n_minus_1"]
-        and hypotheses["ind_c2_at_least_n"]
-        and hypotheses["alpha_below_twice_gamma"]
-    ):
-        raise HypothesesNotMet(
-            f"hypotheses not met: ind(c)={ind1}, ind(c^2)={ind2}, "
-            f"alpha={alpha}, gamma={gamma}"
-        )
     if horizon is None:
-        horizon = _safe_prop33_horizon(p, 1000)
-    conclusion_a = (
-        gamma == Fraction((-1) ** (n - 1)) and alpha > 1 and ind2 == n + 1
-    )
-    arcs = p.arc_values
-    l = len(p.phases)
-    conclusion_b = (
-        l >= 1
-        and arcs[0] == n - 1
-        and all(arcs[j] > arcs[j + 1] for j in range(l - 1))
-        and arcs[l - 1] == 1
-        and arcs[l] == 2
-    )
-    seq = bott_index_sequence(p, horizon)
-    first_decrease = next(
-        (m for m in range(1, horizon) if seq[m] < seq[m - 1]), None
-    )
-    conclusion_c = first_decrease is None
-    return Prop33Report(
-        hypotheses=hypotheses,
-        conclusion_a=conclusion_a,
-        conclusion_b=conclusion_b,
-        conclusion_c=conclusion_c,
-        horizon=horizon,
-        details={"first_decrease_at": first_decrease},
+        horizon = _collision_free_length(p, 1000)
+    return _staircase_report(
+        p.n, p.arc_values, average_index(p), gamma_invariant(p), bott_index(p, 1),
+        bott_index(p, 2), horizon, partial(bott_index_sequence, p),
     )
 
 
@@ -384,39 +392,20 @@ def average_relation_value(n: int) -> Fraction:
     return Fraction(2 * n - 2, n + 1)
 
 
-def _default_morse_window(alpha: Fraction) -> int:
-    # Degrees the first few iterates can reach; wide enough to expose the
-    # early double hits without outrunning slowly-growing candidates.
-    return max(1, math.ceil(4 * alpha))
-
-
-def _prop33_report(p: IndexProfile, horizon: int) -> Prop33Report | None:
-    """check_prop33 at the pipeline's horizon; None when out of scope."""
-    try:
-        return check_prop33(p, horizon=_safe_prop33_horizon(p, horizon))
-    except HypothesesNotMet:
-        return None
-
-
-_UNCHECKED = object()
-
-
 def single_geodesic_pipeline(
-    n: int,
-    p: IndexProfile,
-    horizon: int,
-    morse_window: int | None = None,
-    *,
-    prop33=_UNCHECKED,
+    n: int, p: IndexProfile, horizon: int
 ) -> Union[ContradictionReport, str]:
     """Run the contradiction pipeline; return the first failing step with
-    exact witnesses, or the explicit consistent-up-to-horizon verdict.
+    exact witnesses, or the explicit consistent-up-to-horizon verdict."""
+    return _pipeline(n, p, horizon)[0]
 
-    `prop33` lets a caller that already ran check_prop33 on p, at the
-    horizon min(horizon, smallest phase denominator - 1), hand over its
-    report (None when the hypotheses were not met) instead of having it
-    computed again here.
-    """
+
+def _pipeline(
+    n: int, p: IndexProfile, horizon: int
+) -> tuple[Union[ContradictionReport, str], Prop33Report | None]:
+    """The pipeline's verdict, and the staircase proposition's report on p
+    at the horizon min(horizon, smallest phase denominator - 1): None when
+    the run stops before that step or the hypotheses fail."""
     if horizon < 3:
         raise PrecondViolation(f"horizon = {horizon} must be >= 3")
     alpha = average_index(p)
@@ -429,7 +418,7 @@ def single_geodesic_pipeline(
             candidate=p,
             failed_step="index-of-prime",
             witness={"ind_c": ind1, "required": n - 1},
-        )
+        ), None
 
     ind2 = bott_index(p, 2)
     if ind2 == n - 1:
@@ -443,7 +432,7 @@ def single_geodesic_pipeline(
                 "w_at_n_minus_1": 2,
                 "betti_at_n_minus_1": betti_number(n, n - 1),
             },
-        )
+        ), None
 
     gamma = gamma_invariant(p)
     ratio = alpha / abs(gamma)
@@ -458,10 +447,23 @@ def single_geodesic_pipeline(
                 "alpha_over_abs_gamma": str(ratio),
                 "required_value": str(average_relation_value(n)),
             },
-        )
+        ), None
 
-    if prop33 is _UNCHECKED:
-        prop33 = _prop33_report(p, horizon)
+    bad = validate_profile(p)
+    if bad:
+        raise PrecondViolation(f"invalid profile: {bad[0]}")
+    # A step that reads past `length` asks the kernel, which raises the collision.
+    length = _collision_free_length(p, 2 * horizon + 1)
+    sequence = bott_index_sequence(p, length)
+
+    def prefix(m: int) -> list[int]:
+        return sequence[:m] if m <= length else bott_index_sequence(p, m)
+
+    try:
+        h33 = _collision_free_length(p, horizon)
+        prop33 = _staircase_report(p.n, p.arc_values, alpha, gamma, ind1, ind2, h33, prefix)
+    except HypothesesNotMet:
+        prop33 = None
     if prop33 is not None and not prop33.passed:
         return ContradictionReport(
             candidate=p,
@@ -472,11 +474,13 @@ def single_geodesic_pipeline(
                 "conclusion_c": prop33.conclusion_c,
                 "details": prop33.details,
             },
-        )
+        ), prop33
 
-    window = morse_window if morse_window is not None else _default_morse_window(alpha)
-    w = aggregate_w(p, window)
-    b = [betti_number(n, k) for k in range(window + 1)]
+    # Degrees the first few iterates can reach; wide enough to expose the
+    # early double hits without outrunning slowly-growing candidates.
+    window = max(1, math.ceil(4 * alpha))
+    w = count_w(prefix(cutoff_for(p.n, alpha, window)), gamma, window)
+    b = betti_table(n, window).ranks
     report = morse_q_recursion(w, b)
     mismatch = next((k for k in range(window + 1) if w[k] != b[k]), None)
     if mismatch is not None or not report.feasible:
@@ -493,9 +497,9 @@ def single_geodesic_pipeline(
                 if report.first_violation is None
                 else report.q[report.first_violation],
             },
-        )
+        ), prop33
 
-    seq = bott_index_sequence(p, horizon)
+    seq = prefix(horizon)
     for m in range(1, horizon - 1):
         gap = seq[m + 1] - seq[m - 1]
         if gap > 4:
@@ -508,9 +512,9 @@ def single_geodesic_pipeline(
                     "ind_m_plus_2": seq[m + 1],
                     "gap": gap,
                 },
-            )
+            ), prop33
 
-    jumps = jump_search(p, horizon)
+    jumps = jump_scan(prefix, p.phases, horizon, 2 * p.index_at_one)
     if jumps and 2 * ind1 >= 6:
         return ContradictionReport(
             candidate=p,
@@ -521,18 +525,14 @@ def single_geodesic_pipeline(
                 "gap_bound": 4,
                 "all_k_up_to_horizon": jumps,
             },
-        )
+        ), prop33
 
-    return CONSISTENT
+    return CONSISTENT, prop33
 
 
 def _spread_phases(l: int, q: int) -> tuple[Fraction, ...]:
     step = max(1, (q - 1) // (2 * (l + 1)))
     return tuple(Fraction(j * step, q) for j in range(1, l + 1))
-
-
-def _phase_is_safe(t: Fraction, threshold: int) -> bool:
-    return t.denominator > threshold
 
 
 def _ordered_interior(phases: list[Fraction]) -> bool:
@@ -545,7 +545,6 @@ def _ordered_interior(phases: list[Fraction]) -> bool:
 
 
 def _offset_grid_attempt(
-    arcs: tuple[int, ...],
     diffs: list[int],
     r: int,
     residual: Fraction,
@@ -567,7 +566,7 @@ def _offset_grid_attempt(
     phases = [Fraction(numerators[j], q) if j != r else t_r for j in range(l)]
     if not _ordered_interior(phases):
         return None
-    if not _phase_is_safe(t_r, threshold):
+    if t_r.denominator <= threshold:
         return None
     return phases
 
@@ -586,7 +585,9 @@ def phase_instantiate(
     so that no Bott sum up to the horizon can collide.  The average index
     is an all-positive-weight convex combination of the arc values, so a
     target is realizable iff it lies strictly inside the arc-value hull
-    (or equals the forced value when the arcs are constant).
+    (or equals the forced value when the arcs are constant).  When a single
+    arc jump carries the whole relation, it forces its phase to a rational
+    value, which no bumpy metric realizes; that is certified infeasible.
     """
     alpha_target = Fraction(alpha_target)
     threshold = 2 * horizon + 1 if horizon is not None else q - 1
@@ -621,22 +622,16 @@ def phase_instantiate(
         t_r = residual / diffs[r]
         if not (0 < t_r < HALF):
             return infeasible(f"forced phase t_{r + 1} = {t_r} is not interior")
-        if not _phase_is_safe(t_r, threshold):
-            return infeasible(
-                f"forced phase t_{r + 1} = {t_r} has denominator "
-                f"{t_r.denominator} <= {threshold}; no collision-safe instantiation"
-            )
-        phases = _place_around_forced(t_r, r, l, q, threshold)
-        if phases is None:
-            raise RuntimeError(
-                f"could not place free phases around forced t = {t_r}; "
-                "not an infeasibility certificate"
-            )
-        return IndexProfile(s.n, arcs, phases, s.nullities)
+        # A rational t_r makes e(t_r) a root of unity: some iterate is
+        # degenerate, so no bumpy metric has this profile, at any horizon.
+        return infeasible(
+            f"forced phase t_{r + 1} = {t_r} is rational, so e(t_{r + 1}) is a "
+            "root of unity and some iterate is degenerate"
+        )
 
     r = nonzero[-1]
     for bump in range(4):
-        phases = _offset_grid_attempt(arcs, diffs, r, residual, q, threshold, bump)
+        phases = _offset_grid_attempt(diffs, r, residual, q, threshold, bump)
         if phases is not None:
             profile = IndexProfile(s.n, arcs, phases, s.nullities)
             assert average_index(profile) == alpha_target
@@ -651,28 +646,6 @@ def phase_instantiate(
     profile = IndexProfile(s.n, arcs, phases, s.nullities)
     assert average_index(profile) == alpha_target
     return profile
-
-
-def _place_around_forced(
-    t_r: Fraction, r: int, l: int, q: int, threshold: int
-) -> tuple[Fraction, ...] | None:
-    """Slot the zero-weight phases around the single forced one."""
-    below, above = r, l - 1 - r
-    phases: list[Fraction] = []
-    for j in range(1, below + 1):
-        candidate = t_r * Fraction(j, below + 1)
-        if not _phase_is_safe(candidate, threshold):
-            return None
-        phases.append(candidate)
-    phases.append(t_r)
-    for j in range(1, above + 1):
-        candidate = t_r + (HALF - t_r) * Fraction(j, above + 1)
-        if not _phase_is_safe(candidate, threshold):
-            return None
-        phases.append(candidate)
-    if not _ordered_interior(phases):
-        return None
-    return tuple(phases)
 
 
 def _snap_interior_solution(
@@ -737,7 +710,7 @@ def _snap_interior_solution(
         phases = [Fraction(numerators[j], grid) if j != r else t_r for j in range(l)]
         if not _ordered_interior(phases):
             continue
-        if not all(_phase_is_safe(t, threshold) for t in phases):
+        if any(t.denominator <= threshold for t in phases):
             continue
         return tuple(phases)
     return None
@@ -816,10 +789,9 @@ def verify_theorem(n: int, horizon: int, q: int) -> VerificationSummary:
             if isinstance(outcome, PhaseInfeasible):
                 by_step["phase-infeasible"] += splits
                 continue
-            rep33 = _prop33_report(outcome, horizon)
+            verdict, rep33 = _pipeline(n, outcome, horizon)
             if rep33 is not None:
                 prop33_checked += splits
-            verdict = single_geodesic_pipeline(n, outcome, horizon, prop33=rep33)
             survived = verdict == CONSISTENT
             if not survived:
                 by_step[verdict.failed_step] += splits

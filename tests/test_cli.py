@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import bottiter
 from bottiter import cli, profile_from_document, validate_profile
 
 RUNNING = '{ "n": 4, "I": [3,2,1,2], "t": ["10/97","13/97","31/97"], "N": [1,1,1] }'
@@ -22,11 +24,17 @@ def profile_path(tmp_path):
     return str(path)
 
 
+# The child process imports the same bottiter as the tests, installed or not.
+_SRC = os.path.dirname(os.path.dirname(bottiter.__file__))
+
+
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "bottiter.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

@@ -7,7 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from bottiter import average_euler_number, betti_number, betti_table, poincare_coefficients
+from bottiter import (
+    BettiTable,
+    average_euler_number,
+    betti_number,
+    betti_table,
+    poincare_coefficients,
+)
 
 
 class TestBettiRule:
@@ -62,6 +68,27 @@ class TestSeries:
             series = poincare_coefficients(n, 100).ranks
             rule = betti_table(n, 100).ranks
             assert series == rule, f"mismatch at n={n}"
+
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_table_equals_rule_and_series(self, n):
+        # The table fills two arithmetic progressions; betti_number applies
+        # the rule degree by degree, and the series divides polynomials.
+        for max_degree in (0, 1, n - 2, n - 1, 4 * n, 5000):
+            table = betti_table(n, max_degree)
+            assert table.max_degree == max_degree
+            assert table.ranks == tuple(betti_number(n, k) for k in range(max_degree + 1))
+            assert table.ranks == poincare_coefficients(n, max_degree).ranks
+
+    def test_table_edges(self):
+        # An empty range asks for no degree, so it is an empty table for any
+        # n; any degree at n < 3 raises the rule's error.
+        for n in (1, 2, 3, 4):
+            assert betti_table(n, -1) == BettiTable(n=n, max_degree=-1, ranks=())
+        for n in (0, 1, 2):
+            for max_degree in (0, 5):
+                with pytest.raises(ValueError, match=f"n = {n} must be >= 3"):
+                    betti_table(n, max_degree)
 
 
 class TestAverageEulerNumber:

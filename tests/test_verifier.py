@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -40,12 +43,17 @@ from bottiter.verifier import (
     _jump_costs,
     _null_splits,
     _split_count,
+    STEP_IDS,
     average_relation_value,
 )
 
+import bottiter.kernel
 import bottiter.verifier
 import verify_oracle
+from conftest import make_random_profile
 from verify_oracle import naive_verify
+
+EXPECTED_SUMMARIES = Path(__file__).resolve().parents[1] / "perfbench" / "expected_default.json"
 
 
 class TestExtremalProfile:
@@ -227,10 +235,13 @@ class TestPhaseInstantiate:
         assert validate_profile(profile) == []
 
     def test_forced_single_phase_unsafe_denominator(self):
+        # The relation forces t_1 = 1/4, a rational phase: infeasible at
+        # every horizon, not only where 4 <= 2*horizon + 1.
         s = Signature(3, (2, 0), (2,))
-        outcome = phase_instantiate(s, Fraction(1), 499, horizon=200)
-        assert isinstance(outcome, PhaseInfeasible)
-        assert "collision-safe" in outcome.reason
+        for horizon in (None, 1, 3, 200):
+            outcome = phase_instantiate(s, Fraction(1), 499, horizon=horizon)
+            assert isinstance(outcome, PhaseInfeasible)
+            assert "forced phase t_1 = 1/4 is rational" in outcome.reason
 
     def test_instantiated_targets_across_space(self):
         # Every successful instantiation is valid, hits the target exactly,
@@ -276,6 +287,99 @@ class TestPipeline:
         a = single_geodesic_pipeline(4, running_profile, 96)
         b = single_geodesic_pipeline(4, running_profile, 96)
         assert a == b
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # the type and message must match too
+        return (type(exc), str(exc))
+
+
+class TestAgainstFrozenPipeline:
+    """The pipeline and the staircase check against their frozen copies in
+    verify_oracle, on random profiles: verdict and witness, or exception
+    type and message."""
+
+    @staticmethod
+    def _profiles(rng, count):
+        walked = {n: list(_arc_sequences(n, first=n - 1, dip=1)) for n in range(3, 9)}
+        for i in range(count):
+            if i % 3 == 0:
+                yield make_random_profile(rng)
+                continue
+            # A sequence verify walks, with phases over one denominator,
+            # log-uniform in 23..4001 (reduced, so they differ); every other
+            # one is redrawn a few times to meet the average relation, so
+            # that the later steps are reached.
+            n = rng.randint(3, 8)
+            arcs = rng.choice(walked[n])
+            for _ in range(1 if i % 3 == 1 else 20):
+                q = round(math.exp(rng.uniform(math.log(23), math.log(4001))))
+                numerators = sorted(rng.sample(range(1, (q - 1) // 2 + 1), len(arcs) - 1))
+                p = IndexProfile(n, arcs, [Fraction(a, q) for a in numerators], _jump_costs(arcs))
+                if 1 < average_index(p) / abs(gamma_invariant(p)) < 2:
+                    break
+            yield p
+        # The representatives verify instantiates, where jump-clash and
+        # survivors occur.
+        for n, q in ((4, 499), (6, 601), (7, 1009)):
+            relation = average_relation_value(n)
+            for arcs in walked[n]:
+                s = Signature(n, arcs, _jump_costs(arcs))
+                for magnitude in (Fraction(1), Fraction(1, 2)):
+                    p = phase_instantiate(s, relation * magnitude, q, horizon=200)
+                    if isinstance(p, IndexProfile):
+                        yield p
+
+    @staticmethod
+    def _same(n, p, horizon, h33):
+        new = _outcome(lambda: single_geodesic_pipeline(n, p, horizon))
+        old = _outcome(lambda: verify_oracle.single_geodesic_pipeline(n, p, horizon))
+        assert new == old, (n, p, horizon)
+        if not isinstance(new, tuple):
+            # The report verify_theorem takes from the same pass.
+            report = bottiter.verifier._pipeline(n, p, horizon)[1]
+            early = new != CONSISTENT and new.failed_step in (
+                "index-of-prime", "second-iterate", "average-relation"
+            )
+            assert report == (None if early else verify_oracle.prop33_report(p, horizon))
+        assert _outcome(lambda: check_prop33(p, h33)) == _outcome(
+            lambda: verify_oracle.check_prop33(p, h33)
+        ), (p, h33)
+        if isinstance(new, tuple):
+            return new[0].__name__
+        return new if new == CONSISTENT else new.failed_step
+
+    def test_pipeline_and_prop33_match(self):
+        rng = random.Random(2024)
+        ends = set()
+        for p in self._profiles(rng, 3000):
+            n = rng.choice((p.n, p.n, rng.randint(2, 8)))
+            horizon = rng.choice((3, 10, 48, 96, 200, 200, 1000))
+            ends.add(self._same(n, p, horizon, rng.choice((None, 0, 1, 2, 50, 500))))
+        # Every step the pipeline can fail at (jump-clash is rare here, and
+        # test_edges_match reaches it), and each kind of exception.
+        assert ends >= set(STEP_IDS[:-1]) - {"prop33-hypotheses", "jump-clash"} | {
+            CONSISTENT, "PhaseCollision", "PrecondViolation", "ValueError"
+        }, ends
+
+    @pytest.mark.parametrize("horizon", [3, 200, 249, 250, 498, 499, 1000])
+    def test_edges_match(self, horizon):
+        # The jump-clash fixture dies at jump-clash (200), at the jump scan's
+        # PrecondViolation (249, 250), at gap-bound (498), and at the gap
+        # step's PhaseCollision (499, 1000); the second profile is invalid;
+        # the third forces t = 1/4, where the Morse step collides at H = 3;
+        # the last, run as n = 4, takes its Morse cutoff from its own n = 7,
+        # which collides at m = 11.
+        for n, p in (
+            (4, IndexProfile(4, (3, 2, 1, 2), ("3/499", "4/499", "527/1996"), (1, 1, 1))),
+            (4, IndexProfile(4, (3, 2, 1, 2), ("13/97", "10/97", "31/97"), (1, 1, 1))),
+            (3, IndexProfile(3, (2, 0), ("1/4",), (2,))),
+            (4, IndexProfile(7, (3, 0, 1), ("1/11", "5/11"), (3, 1))),
+        ):
+            for h33 in (None, 0, 1, 2, 50, 500):
+                self._same(n, p, horizon, h33)
 
 
 def _recheck_witness(report, n: int, horizon: int) -> None:
@@ -394,12 +498,18 @@ class TestVerifyTheorem:
         def failing(p, horizon=None):
             return dataclasses.replace(real(p, horizon), conclusion_c=False)
 
-        def consistent(n, p, horizon, morse_window=None, **unused):
+        def consistent(n, p, horizon):
             return CONSISTENT
 
-        for module in (bottiter.verifier, verify_oracle):
-            monkeypatch.setattr(module, "check_prop33", failing)
-            monkeypatch.setattr(module, "single_geodesic_pipeline", consistent)
+        def driver(n, p, horizon):
+            try:
+                return CONSISTENT, failing(p, horizon)
+            except HypothesesNotMet:
+                return CONSISTENT, None
+
+        monkeypatch.setattr(bottiter.verifier, "_pipeline", driver)
+        monkeypatch.setattr(verify_oracle, "check_prop33", failing)
+        monkeypatch.setattr(verify_oracle, "single_geodesic_pipeline", consistent)
         fast = verify_theorem(5, 200, 499)
         slow = naive_verify(5, 200, 499)
         assert fast.to_dict() == slow.to_dict()
@@ -407,6 +517,55 @@ class TestVerifyTheorem:
         listed = {profile_from_document(doc).arc_values for doc in fast.survivors}
         assert len(fast.survivors) > len(listed)
         assert fast.prop33_failures
+
+    def test_documented_summaries(self):
+        # perfbench/expected_default.json pins the summaries the benchmark
+        # checks its verify runs against.
+        for entry in json.loads(EXPECTED_SUMMARIES.read_text()):
+            summary = verify_theorem(entry["n"], entry["horizon"], entry["Q"])
+            assert json.dumps(summary.to_dict()) == json.dumps(entry)
+
+    def test_one_sequence_per_candidate(self, monkeypatch):
+        # A candidate killed before the staircase step costs no Bott
+        # sequence; every other candidate costs exactly one.
+        calls = []
+        real_sequence = bottiter.kernel.index_sequence
+        real_pipeline = bottiter.verifier._pipeline
+
+        def counted_sequence(*args):
+            calls.append(args)
+            return real_sequence(*args)
+
+        per_candidate = []
+
+        def counted_pipeline(n, p, horizon):
+            before = len(calls)
+            verdict, rep33 = real_pipeline(n, p, horizon)
+            step = verdict if verdict == CONSISTENT else verdict.failed_step
+            per_candidate.append((step, len(calls) - before))
+            return verdict, rep33
+
+        monkeypatch.setattr(bottiter.kernel, "index_sequence", counted_sequence)
+        monkeypatch.setattr(bottiter.verifier, "_pipeline", counted_pipeline)
+        for n in range(3, 8):
+            verify_theorem(n, 200, 499)
+        verify_theorem(6, 200, 601)  # with a survivor
+        early = ("index-of-prime", "second-iterate", "average-relation")
+        assert {count for step, count in per_candidate if step in early} == {0}
+        assert {count for step, count in per_candidate if step not in early} == {1}
+        assert len(calls) == sum(count for _, count in per_candidate)
+        assert {step for step, _ in per_candidate} >= {
+            "average-relation", "morse-feasibility", "gap-bound", "jump-clash", CONSISTENT
+        }
+        for p in (
+            IndexProfile(4, (2, 1, 2), ("10/97", "31/97"), (1, 1)),
+            IndexProfile(3, (2, 1, 0), ("10/97", "31/97"), (1, 1)),
+            IndexProfile(3, (2,)),
+        ):
+            before = len(calls)
+            verdict = single_geodesic_pipeline(p.n, p, 96)
+            assert verdict.failed_step in early
+            assert len(calls) == before
 
     def test_preconditions(self):
         with pytest.raises(PrecondViolation):
