@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import Callable
 
 from . import kernel
 from .errors import PhaseCollision, PrecondViolation
@@ -50,6 +48,13 @@ def bott_index_sequence(p: IndexProfile, m_max: int) -> list[int]:
     if m_max < 1:
         raise PrecondViolation(f"m_max = {m_max} must be positive")
     return kernel.index_sequence(p.arc_values, p.phases, m_max)
+
+
+def check_sequence_range(p: IndexProfile, m_max: int) -> None:
+    """Raise what bott_index_sequence(p, m_max) raises, computing nothing."""
+    if m_max < 1:
+        raise PrecondViolation(f"m_max = {m_max} must be positive")
+    kernel.check_range(p.phases, m_max)
 
 
 def _arc_id_at(p: IndexProfile, t: Fraction) -> int:
@@ -151,6 +156,19 @@ def gap_decomposition(p: IndexProfile, m: int) -> tuple[int, int, set[int]]:
     return a_m, b_m, j_set
 
 
+def check_jump_range(phases: tuple[Fraction, ...], horizon: int) -> None:
+    """The jump scan reads iterates up to 2*horizon + 1: raise
+    PrecondViolation, naming the first phase whose denominator is at most
+    that, since the scan would collide there."""
+    threshold = 2 * horizon + 1
+    for j, t in enumerate(phases):
+        if t.denominator <= threshold:
+            raise PrecondViolation(
+                f"phase t_{j + 1} = {t} has denominator <= 2*horizon + 1 = {threshold}; "
+                "the scan would collide"
+            )
+
+
 def jump_search(p: IndexProfile, horizon: int) -> list[int]:
     """All k <= horizon with ind(c^{2k+1}) - ind(c^{2k-1}) = 2 * ind(c).
 
@@ -161,21 +179,7 @@ def jump_search(p: IndexProfile, horizon: int) -> list[int]:
         raise PrecondViolation(f"horizon = {horizon} must be positive")
     if average_index(p) <= 0:
         raise PrecondViolation("jump search requires a positive average index")
-    return jump_scan(partial(bott_index_sequence, p), p.phases, horizon, 2 * p.index_at_one)
-
-
-def jump_scan(
-    prefix: Callable[[int], list[int]], phases: tuple[Fraction, ...], horizon: int, jump: int
-) -> list[int]:
-    """`jump_search` on prefix(m) = [ind(c^1), ..., ind(c^m)] of a profile
-    with these phases, jump = 2 * ind(c).  A denominator <= 2*horizon + 1
-    raises PrecondViolation, naming the first such phase, before any read."""
-    threshold = 2 * horizon + 1
-    for j, t in enumerate(phases):
-        if t.denominator <= threshold:
-            raise PrecondViolation(
-                f"phase t_{j + 1} = {t} has denominator <= 2*horizon + 1 = {threshold}; "
-                "the scan would collide"
-            )
-    seq = prefix(threshold)
+    check_jump_range(p.phases, horizon)
+    seq = bott_index_sequence(p, 2 * horizon + 1)
+    jump = 2 * p.index_at_one
     return [k for k in range(1, horizon + 1) if seq[2 * k] - seq[2 * k - 2] == jump]

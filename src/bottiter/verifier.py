@@ -28,12 +28,27 @@ pipeline.  Every candidate must be contradicted; a
 "consistent-up-to-horizon" outcome is an explicit, reportable verdict,
 never silent.
 
-Each pipeline step reads only the skeleton, the average index and a
-prefix of the Bott sequence.  Steps 1-3 need ind(c) and ind(c^2) alone; a
-candidate that passes them gets one Bott sequence, computed once up to
-min(2H + 1, smallest phase denominator - 1), and steps 3'-6 read its
-prefix.  The pipeline hands the staircase report back with its verdict,
-so each candidate is checked against the proposition once.
+Steps 1-3 need ind(c) and ind(c^2) alone.  The later steps read the
+index sequence through Bott's formula,
+
+  ind(c^m) = I_1 + (m - 1) I_{l+1} + sum_k 2 d_k floor(m t_k),  d_k = I_k - I_{k+1},
+
+in which a phase t_k < 1/2 crosses (floor(m t_k) grows) at most once per
+step and at most once per two steps.  Two exact facts follow:
+
+  - ind(c^{m+1}) - ind(c^m) >= I_{l+1} + 2 sum_{d_k < 0} d_k.  When that
+    floor is >= 0 (on every staircase it is 2 - 2 = 0), the sequence never
+    decreases, and step 3' certifies monotonicity without a scan.
+  - ind(c^{m+2}) - ind(c^m) = 2 I_{l+1} + sum_k 2 d_k chi_k(m), where
+    chi_k(m) = 1 when t_k crosses at m + 1 or m + 2.  When 2 I_{l+1} <= 4,
+    step 5 can fire only at such an m for a phase with d_k > 0, and so can
+    step 6 when 2 ind(c) > 2 I_{l+1}.  Those windows are walked in
+    increasing order and each is evaluated in O(l) integers.
+
+Otherwise the step checks every m.  The Morse step reads the one
+Bott sequence a candidate still needs, up to its iterate cutoff.  The
+pipeline hands the staircase report back with its verdict, so each
+candidate is checked against the proposition once.
 """
 
 from __future__ import annotations
@@ -41,12 +56,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
-from typing import Callable, Iterator, Union
+from typing import Iterator, Union
 
+from . import kernel
 from .errors import HypothesesNotMet, PrecondViolation
 from .homology import betti_number, betti_table
-from .iteration import bott_index, bott_index_sequence, jump_scan
+from .iteration import (
+    bott_index,
+    bott_index_sequence,
+    check_jump_range,
+    check_sequence_range,
+)
 from .morse import count_w, cutoff_for, morse_q_recursion
 from .profile import (
     HALF,
@@ -316,15 +336,50 @@ def _collision_free_length(p: IndexProfile, cap: int) -> int:
     return min([cap] + [t.denominator - 1 for t in p.phases])
 
 
-def _staircase_report(
-    n: int, arcs: tuple[int, ...], alpha: Fraction, gamma: Fraction,
-    ind1: int, ind2: int, horizon: int, prefix: Callable[[int], list[int]],
-) -> Prop33Report:
-    """The staircase proposition on a valid profile with these arc values,
-    average index, parity invariant, ind(c) and ind(c^2).  prefix(m)
-    returns [ind(c^1), ..., ind(c^m)]; it is asked for the horizon only once
-    the hypotheses hold, and HypothesesNotMet is raised when they do not.
+def _first_decrease(p: IndexProfile, horizon: int) -> int | None:
+    """The first m < horizon with ind(c^{m+1}) < ind(c^m), or None.  Raises
+    what bott_index_sequence(p, horizon) raises.
+
+    Each t_k < 1/2 crosses at most once per step, so every step is at least
+    I_{l+1} + 2 * sum_{d_k < 0} d_k; when that is >= 0, nothing is scanned.
     """
+    arcs = p.arc_values
+    if arcs[-1] + 2 * sum(min(0, a - b) for a, b in zip(arcs, arcs[1:])) >= 0:
+        check_sequence_range(p, horizon)
+        return None
+    seq = bott_index_sequence(p, horizon)
+    return next((m for m in range(1, horizon) if seq[m] < seq[m - 1]), None)
+
+
+def _first_gap_kill(p: IndexProfile, horizon: int) -> tuple[int, int, int] | None:
+    """The first m <= horizon - 2 with ind(c^{m+2}) - ind(c^m) > 4, as
+    (m, ind(c^m), ind(c^{m+2})), or None.  Raises what
+    bott_index_sequence(p, horizon) raises.  When 2 * I_{l+1} <= 4, only
+    the windows of crossings of phases with I_k > I_{k+1} are read.
+    """
+    windows = kernel.two_step_windows(p.arc_values, p.phases, horizon, 4)
+    return next(((m, a, b) for m, a, b in windows if b - a > 4), None)
+
+
+def _jumps(p: IndexProfile, horizon: int) -> list[int]:
+    """jump_search(p, horizon) for phases with denominators above
+    2*horizon + 1.  When 2 * ind(c) > 2 * I_{l+1}, only the windows of
+    crossings of phases with I_k > I_{k+1} are read.
+    """
+    jump = 2 * p.index_at_one
+    windows = kernel.two_step_windows(p.arc_values, p.phases, 2 * horizon + 1, jump - 1)
+    return [(m + 1) // 2 for m, a, b in windows if m % 2 and b - a == jump]
+
+
+def _staircase_report(
+    p: IndexProfile, alpha: Fraction, gamma: Fraction, ind1: int, ind2: int, horizon: int
+) -> Prop33Report:
+    """The staircase proposition on a valid profile with this average
+    index, parity invariant, ind(c) and ind(c^2).  The index sequence is
+    read up to the horizon only once the hypotheses hold, and
+    HypothesesNotMet is raised when they do not.
+    """
+    n, arcs = p.n, p.arc_values
     met = {
         "ind_c_is_n_minus_1": ind1 == n - 1,
         "ind_c2_at_least_n": ind2 >= n,
@@ -347,10 +402,7 @@ def _staircase_report(
         and arcs[l - 1] == 1
         and arcs[l] == 2
     )
-    seq = prefix(horizon)
-    first_decrease = next(
-        (m for m in range(1, horizon) if seq[m] < seq[m - 1]), None
-    )
+    first_decrease = _first_decrease(p, horizon)
     return Prop33Report(
         hypotheses=hypotheses,
         conclusion_a=conclusion_a,
@@ -379,8 +431,7 @@ def check_prop33(p: IndexProfile, horizon: int | None = None) -> Prop33Report:
     if horizon is None:
         horizon = _collision_free_length(p, 1000)
     return _staircase_report(
-        p.n, p.arc_values, average_index(p), gamma_invariant(p), bott_index(p, 1),
-        bott_index(p, 2), horizon, partial(bott_index_sequence, p),
+        p, average_index(p), gamma_invariant(p), bott_index(p, 1), bott_index(p, 2), horizon
     )
 
 
@@ -452,16 +503,9 @@ def _pipeline(
     bad = validate_profile(p)
     if bad:
         raise PrecondViolation(f"invalid profile: {bad[0]}")
-    # A step that reads past `length` asks the kernel, which raises the collision.
-    length = _collision_free_length(p, 2 * horizon + 1)
-    sequence = bott_index_sequence(p, length)
-
-    def prefix(m: int) -> list[int]:
-        return sequence[:m] if m <= length else bott_index_sequence(p, m)
-
     try:
         h33 = _collision_free_length(p, horizon)
-        prop33 = _staircase_report(p.n, p.arc_values, alpha, gamma, ind1, ind2, h33, prefix)
+        prop33 = _staircase_report(p, alpha, gamma, ind1, ind2, h33)
     except HypothesesNotMet:
         prop33 = None
     if prop33 is not None and not prop33.passed:
@@ -479,7 +523,7 @@ def _pipeline(
     # Degrees the first few iterates can reach; wide enough to expose the
     # early double hits without outrunning slowly-growing candidates.
     window = max(1, math.ceil(4 * alpha))
-    w = count_w(prefix(cutoff_for(p.n, alpha, window)), gamma, window)
+    w = count_w(bott_index_sequence(p, cutoff_for(p.n, alpha, window)), gamma, window)
     b = betti_table(n, window).ranks
     report = morse_q_recursion(w, b)
     mismatch = next((k for k in range(window + 1) if w[k] != b[k]), None)
@@ -499,23 +543,24 @@ def _pipeline(
             },
         ), prop33
 
-    seq = prefix(horizon)
-    for m in range(1, horizon - 1):
-        gap = seq[m + 1] - seq[m - 1]
-        if gap > 4:
-            return ContradictionReport(
-                candidate=p,
-                failed_step="gap-bound",
-                witness={
-                    "m": m,
-                    "ind_m": seq[m - 1],
-                    "ind_m_plus_2": seq[m + 1],
-                    "gap": gap,
-                },
-            ), prop33
+    kill = _first_gap_kill(p, horizon)
+    if kill is not None:
+        m, ind_m, ind_m_plus_2 = kill
+        return ContradictionReport(
+            candidate=p,
+            failed_step="gap-bound",
+            witness={
+                "m": m,
+                "ind_m": ind_m,
+                "ind_m_plus_2": ind_m_plus_2,
+                "gap": ind_m_plus_2 - ind_m,
+            },
+        ), prop33
 
-    jumps = jump_scan(prefix, p.phases, horizon, 2 * p.index_at_one)
-    if jumps and 2 * ind1 >= 6:
+    check_jump_range(p.phases, horizon)
+    # A jump of 2 * ind(c) = 4 (n = 3) clashes with nothing, so none is looked for.
+    jumps = _jumps(p, horizon) if 2 * ind1 >= 6 else []
+    if jumps:
         return ContradictionReport(
             candidate=p,
             failed_step="jump-clash",

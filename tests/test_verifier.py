@@ -35,7 +35,7 @@ from bottiter import (
     validate_signature,
     verify_theorem,
 )
-from bottiter.morse import aggregate_w, morse_q_recursion
+from bottiter.morse import aggregate_w, cutoff_for, morse_q_recursion
 from bottiter.verifier import (
     _arc_sequences,
     _count_signatures,
@@ -527,7 +527,8 @@ class TestVerifyTheorem:
 
     def test_one_sequence_per_candidate(self, monkeypatch):
         # A candidate killed before the staircase step costs no Bott
-        # sequence; every other candidate costs exactly one.
+        # sequence; every other candidate costs exactly one, no longer than
+        # the Morse step's iterate cutoff: the later steps read crossings.
         calls = []
         real_sequence = bottiter.kernel.index_sequence
         real_pipeline = bottiter.verifier._pipeline
@@ -543,6 +544,9 @@ class TestVerifyTheorem:
             verdict, rep33 = real_pipeline(n, p, horizon)
             step = verdict if verdict == CONSISTENT else verdict.failed_step
             per_candidate.append((step, len(calls) - before))
+            alpha = average_index(p)
+            cutoff = cutoff_for(n, alpha, math.ceil(4 * alpha))
+            assert all(m_max <= cutoff for _, _, m_max in calls[before:]), (p, cutoff)
             return verdict, rep33
 
         monkeypatch.setattr(bottiter.kernel, "index_sequence", counted_sequence)
