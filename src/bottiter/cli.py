@@ -8,7 +8,10 @@ identical inputs; diagnostics go to stderr.  Exit status: 0 on success,
 Structured output is exactly the bytes of `json.dumps(obj, indent=2)`
 plus a newline.  `_json_indent2` writes them through the C encoder, which
 CPython uses only without `indent`, so a long list costs one C call.  The
-argument parser is built once per process, on the first call to `main`.
+printed columns are built in whole-column passes of C-level operations,
+not one Python step per degree; only `morse`'s b column still asks
+`betti_number` degree by degree (ROADMAP item 5).  The argument parser is
+built once per process, on the first call to `main`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import json
 import sys
 
 from .errors import HypothesesNotMet, PhaseCollision, PrecondViolation, ProfileFormatError
-from .homology import betti_number, poincare_coefficients
+from .homology import betti_number, betti_table, check_table_request
 from .iteration import bott_index, bott_index_sequence, gap_decomposition, jump_search
 from .morse import aggregate_w, morse_q_recursion
 from .profile import IndexProfile, average_index, gamma_invariant, profile_from_document
@@ -33,16 +36,18 @@ def _load_profile(path: str) -> IndexProfile:
 
 def _emit_csv(header: str, rows) -> None:
     lines = [header]
-    lines.extend(",".join(str(cell) for cell in row) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _json_indent2(obj, pad: str = "") -> str:
     """`json.dumps(obj, indent=2)` for str-keyed dicts, lists and scalars.
 
-    A list that holds no dict or list is encoded in one C call: with ",\n"
-    and the next indent as the item separator, its items come out one per
-    line.  It is told apart by the set of its item types, built in C too.
+    A list is first encoded flat in one C call: with ",\n" and the next
+    indent as the item separator, its items come out one per line.  That
+    is the indented text unless an item is itself a container, which shows
+    as a `[` or `{` in the body; only then (or when a string item holds
+    one of them) are the items encoded one by one.
     """
     inner = pad + "  "
     if isinstance(obj, dict) and obj:
@@ -52,10 +57,11 @@ def _json_indent2(obj, pad: str = "") -> str:
         )
         return f"{{\n{body}\n{pad}}}"
     if isinstance(obj, (list, tuple)) and obj:
-        if any(issubclass(kind, (dict, list, tuple)) for kind in set(map(type, obj))):
+        body = json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
+        if "[" in body or "{" in body:
             body = ",\n".join(inner + _json_indent2(item, inner) for item in obj)
         else:
-            body = inner + json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
+            body = inner + body
         return f"[\n{body}\n{pad}]"
     return json.dumps(obj)
 
@@ -65,9 +71,10 @@ def _emit_structured(obj) -> None:
 
 
 def _cmd_betti(args) -> int:
-    table = poincare_coefficients(args.n, args.max_k)
+    check_table_request(args.n, args.max_k)
+    table = betti_table(args.n, args.max_k)
     if args.format == "csv":
-        _emit_csv("k,b_k", list(enumerate(table.ranks)))
+        _emit_csv("k,b_k", enumerate(table.ranks))
     else:
         _emit_structured({"n": args.n, "max_degree": args.max_k, "b": list(table.ranks)})
     return 0
@@ -142,7 +149,7 @@ def _cmd_morse(args) -> int:
     if args.format == "csv":
         _emit_csv(
             "k,w_k,b_k,q_k",
-            [(k, w[k], b[k], report.q[k]) for k in range(args.max_k + 1)],
+            zip(range(args.max_k + 1), w, b, report.q),
         )
     else:
         _emit_structured(

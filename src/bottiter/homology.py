@@ -14,7 +14,12 @@ Two independent routes to the same Betti numbers b_k of the quotient pair
 
   by exact integer power-series division.
 
-Their degree-by-degree agreement is a standing cross-check.
+The CLI prints the rule table (`betti_table`), which fills its two
+arithmetic progressions by slice assignment, and raises the series' input
+errors through `check_table_request`.  The series stays the independent
+cross-check: `test_table_equals_rule_and_series` compares the two routes
+degree by degree, and `test_betti_csv_matches_series` pins the printed
+column to the series' coefficients.
 """
 
 from __future__ import annotations
@@ -33,6 +38,14 @@ class BettiTable:
 def _check_n(n: int) -> None:
     if n < 3:
         raise ValueError(f"n = {n} must be >= 3")
+
+
+def check_table_request(n: int, max_degree: int) -> None:
+    """Raise the ValueError the series route raises for (n, max_degree):
+    the n error first, then the degree error."""
+    _check_n(n)
+    if max_degree < 0:
+        raise ValueError(f"max_degree = {max_degree} must be >= 0")
 
 
 def betti_number(n: int, k: int) -> int:
@@ -98,9 +111,7 @@ def _monomial(degree: int, coefficient: int = 1) -> list[int]:
 
 def poincare_coefficients(n: int, max_degree: int) -> BettiTable:
     """Expand the closed-form Poincare series to the requested degree."""
-    _check_n(n)
-    if max_degree < 0:
-        raise ValueError(f"max_degree = {max_degree} must be >= 0")
+    check_table_request(n, max_degree)
     s = 2 * n - 2 if n % 2 == 0 else n - 1
     one_minus_t2 = [1, 0, -1]
     one_minus_ts = _poly_add(_monomial(0), _monomial(s, -1))

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, compress, count, repeat
+from operator import lt, neg, sub
 from typing import Sequence
 
 from .errors import PrecondViolation
@@ -58,13 +60,12 @@ def cutoff_for(n: int, alpha: Fraction, max_degree: int) -> int:
 
 def count_w(sequence: Sequence[int], gamma: Fraction, max_degree: int) -> list[int]:
     """w_k for k = 0..max_degree from [ind(c^1), ..., ind(c^cutoff)] and the
-    parity invariant gamma: odd iterates count only when |gamma| = 1."""
-    odd_counts = abs(gamma) == 1
+    parity invariant gamma: odd iterates count only when |gamma| = 1.
+    Indices outside 0..max_degree are not counted."""
+    counted = sequence if abs(gamma) == 1 else sequence[1::2]
     w = [0] * (max_degree + 1)
-    for m, index in enumerate(sequence, start=1):
-        if m % 2 == 1 and not odd_counts:
-            continue
-        if index <= max_degree:
+    for index in counted:
+        if 0 <= index <= max_degree:
             w[index] += 1
     return w
 
@@ -79,24 +80,28 @@ def aggregate_w(p: IndexProfile, max_degree: int) -> list[int]:
 
 
 def morse_q_recursion(w: Sequence[int], b: Sequence[int]) -> MorseReport:
-    """Solve w_k = b_k + q_k + q_{k-1} for q and report feasibility."""
+    """Solve w_k = b_k + q_k + q_{k-1} for q and report feasibility.
+
+    The recursion telescopes into an alternating prefix sum,
+
+        q_k = (-1)^k * sum_{i <= k} (-1)^i (w_i - b_i),
+
+    so q is built in whole-column passes: the differences, their signs
+    flipped on odd i by slice assignment, `accumulate`, and the odd signs
+    flipped back.  The first violation is the first k with q_k < 0, found
+    by a lazy scan that stops there.
+    """
     if len(w) != len(b):
         raise PrecondViolation(f"length mismatch: {len(w)} counts vs {len(b)} Betti numbers")
-    q: list[int] = []
-    prev = 0
-    feasible = True
-    first_violation = None
-    for k, (wk, bk) in enumerate(zip(w, b)):
-        qk = wk - bk - prev
-        q.append(qk)
-        if qk < 0 and feasible:
-            feasible = False
-            first_violation = k
-        prev = qk
+    q = list(map(sub, w, b))
+    q[1::2] = map(neg, q[1::2])
+    q = list(accumulate(q))
+    q[1::2] = map(neg, q[1::2])
+    first_violation = next(compress(count(), map(lt, q, repeat(0))), None)
     return MorseReport(
         max_degree=len(w) - 1,
         w=tuple(w),
         q=tuple(q),
-        feasible=feasible,
+        feasible=first_violation is None,
         first_violation=first_violation,
     )

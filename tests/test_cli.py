@@ -53,6 +53,7 @@ def test_betti_csv_matches_series():
     assert lines[0] == "k,b_k"
     ranks = [int(line.split(",")[1]) for line in lines[1:]]
     assert ranks == [0, 0, 0, 1, 0, 1, 0, 1, 0, 2, 0]
+    assert ranks == list(bottiter.poincare_coefficients(4, 10).ranks)
 
 
 def test_alpha_gamma_structured(profile_path):
@@ -214,10 +215,39 @@ def test_structured_output_is_indent2_json(profile_path, tmp_path):
          "e": [True, False, 1.5, "x\"\n\u00e9"]},
         [[1, 2], [3], ["s"]],
         {"t": (1, (2, 3))},
+        # A `[` or `{` in a string sends a flat list down the per-item path,
+        # as a nested container does; both give json.dumps's bytes.
+        ["[", "{", "]", "}", '"', '"[', "a{b}", "\\["],
+        [1, "[1, 2]", None, '{"k": 1}', True, 2.5],
+        {"s": ["x[", "y{"], "t": ('"', "[]")},
+        [[], ()],
+        [{"k": 1}, {}],
+        [[[]], [(), [()]]],
+        {"e": [[], {}], "f": ([],)},
+        (("[",), "{"),
+        list(range(-5000, 5001)),
     ],
 )
 def test_indent2_writer_on_nested_values(obj):
     assert cli._json_indent2(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("fmt", [(), ("--format", "csv")])
+@pytest.mark.parametrize(
+    "n,max_k,message",
+    [
+        ("2", "5", "n = 2 must be >= 3"),
+        ("-1", "0", "n = -1 must be >= 3"),
+        ("4", "-1", "max_degree = -1 must be >= 0"),
+        ("3", "-7", "max_degree = -7 must be >= 0"),
+        ("2", "-1", "n = 2 must be >= 3"),
+        ("0", "-5", "n = 0 must be >= 3"),
+    ],
+)
+def test_betti_input_errors(n, max_k, message, fmt):
+    # The n check comes first, then the degree check, in both formats.
+    code, out, err = run_in_process("betti", "--n", n, "--max-k", max_k, *fmt)
+    assert (code, out, err) == (2, "", f"bottiter: {message}\n")
 
 
 def test_repeated_main_calls_match_fresh_processes(profile_path, tmp_path, monkeypatch):

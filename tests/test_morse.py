@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from bottiter import (
     IndexProfile,
+    MorseReport,
     PrecondViolation,
     aggregate_w,
     average_index,
@@ -21,7 +22,7 @@ from bottiter import (
     gamma_invariant,
     morse_q_recursion,
 )
-from bottiter.morse import iterate_cutoff
+from bottiter.morse import count_w, iterate_cutoff
 
 
 class TestCriticalGroupDim:
@@ -68,6 +69,28 @@ class TestAggregateW:
         with pytest.raises(PrecondViolation):
             aggregate_w(IndexProfile(3, (0,)), 4)
 
+    def test_negative_index_is_not_counted(self):
+        # ind(c) = -2 lies below degree 0; it must not wrap around to the
+        # top of the window through Python's negative indexing.
+        p = IndexProfile(3, (-2, 2), ("1/101",), (4,))
+        assert bott_index(p, 1) == -2
+        assert aggregate_w(p, 3) == [1, 0, 1, 0]
+
+
+@pytest.mark.parametrize("gamma", [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2)])
+def test_count_w_matches_per_iterate_oracle(gamma):
+    rng = random.Random(11)
+    for _ in range(200):
+        max_degree = rng.randint(0, 12)
+        sequence = [rng.randint(-3, max_degree + 4) for _ in range(rng.randint(0, 30))]
+        expected = [0] * (max_degree + 1)
+        for m, index in enumerate(sequence, start=1):
+            counted = m % 2 == 0 or abs(gamma) == 1
+            if counted and 0 <= index <= max_degree:
+                expected[index] += 1
+        assert count_w(sequence, gamma, max_degree) == expected
+        assert count_w(tuple(sequence), gamma, max_degree) == expected
+
 
 class TestQRecursion:
     def test_w_equals_b_is_identity(self):
@@ -92,6 +115,17 @@ class TestQRecursion:
         with pytest.raises(PrecondViolation):
             morse_q_recursion([1, 2], [1])
 
+    def test_empty_columns(self):
+        report = morse_q_recursion([], [])
+        assert report == MorseReport(
+            max_degree=-1, w=(), q=(), feasible=True, first_violation=None
+        )
+
+    def test_violation_at_degree_zero(self):
+        report = morse_q_recursion([0, 3, 0], [1, 0, 0])
+        assert report.q == (-1, 4, -4)
+        assert not report.feasible and report.first_violation == 0
+
     @given(
         st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=40),
         st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=40),
@@ -101,10 +135,13 @@ class TestQRecursion:
         w, b = w[:size], b[:size]
         report = morse_q_recursion(w, b)
         # q_k is the alternating partial sum of (w - b).
-        for k in range(size):
-            expected = sum((-1) ** (k - j) * (w[j] - b[j]) for j in range(k + 1))
-            assert report.q[k] == expected
-        assert report.feasible == all(qk >= 0 for qk in report.q)
+        expected = [
+            sum((-1) ** (k - j) * (w[j] - b[j]) for j in range(k + 1)) for k in range(size)
+        ]
+        assert report.q == tuple(expected)
+        violations = [k for k, qk in enumerate(expected) if qk < 0]
+        assert report.first_violation == (violations[0] if violations else None)
+        assert report.feasible == (not violations)
 
     def test_reconstruction_identity(self):
         rng = random.Random(3)
