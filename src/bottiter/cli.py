@@ -23,7 +23,7 @@ import sys
 
 from .errors import HypothesesNotMet, PhaseCollision, PrecondViolation, ProfileFormatError
 from .homology import betti_number, betti_table, check_table_request
-from .iteration import bott_index, bott_index_sequence, gap_decomposition, jump_search
+from .iteration import bott_index_sequence, gap_decomposition, jump_search
 from .morse import aggregate_w, morse_q_recursion
 from .profile import IndexProfile, average_index, gamma_invariant, profile_from_document
 from .verifier import check_prop33, verify_theorem
@@ -113,7 +113,7 @@ def _cmd_gamma(args) -> int:
 def _cmd_gaps(args) -> int:
     p = _load_profile(args.profile)
     a_m, b_m, j_set = gap_decomposition(p, args.m)
-    gap = bott_index(p, args.m + 1) - bott_index(p, args.m)
+    gap = a_m + b_m
     if args.format == "csv":
         _emit_csv(
             "field,value",

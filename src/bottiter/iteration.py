@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import kernel
 from .errors import PhaseCollision, PrecondViolation
-from .profile import IndexProfile, average_index, evaluate_index_function
+from .profile import IndexProfile, arc_position, average_index, evaluate_index_function
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,6 @@ def check_sequence_range(p: IndexProfile, m_max: int) -> None:
     kernel.check_range(p.phases, m_max)
 
 
-def _arc_id_at(p: IndexProfile, t: Fraction) -> int:
-    for j, phase in enumerate(p.phases):
-        if t == phase:
-            raise PhaseCollision(t, j)
-        if t < phase:
-            return j + 1
-    return len(p.arc_values)
-
-
 def iterate_index(p: IndexProfile, m: int) -> IterateIndexReport:
     """Full report for ind(c^m): index, arc hits at j/m, even term."""
     if m < 1:
@@ -75,29 +66,14 @@ def iterate_index(p: IndexProfile, m: int) -> IterateIndexReport:
     for j in range(1, (m + 1) // 2):
         t = Fraction(j, m)
         try:
-            arc = _arc_id_at(p, t)
+            arc = arc_position(p, t)
         except PhaseCollision as exc:
             raise PhaseCollision(t, exc.phase_index, m) from None
-        hits.append((t, arc))
-        total += p.arc_values[arc - 1]
+        hits.append((t, arc + 1))
+        total += p.arc_values[arc]
     even = p.index_at_minus_one if m % 2 == 0 else 0
     index = p.index_at_one + even + 2 * total
     return IterateIndexReport(m=m, index=index, arc_hits=tuple(hits), even_contribution=even)
-
-
-def _root_sum(p: IndexProfile, big_m: int, j_max: int) -> int:
-    """sum_{1 <= j <= j_max} I(e(j / big_m)) for a profile no point hits.
-
-    c_k = min(j_max, floor(big_m * t_k)) points lie below t_k, so arc k
-    holds c_k - c_{k-1} of them (c_0 = 0, c_{l+1} = j_max).
-    """
-    total = 0
-    below = 0
-    for value, t in zip(p.arc_values, p.phases):
-        c = min(j_max, big_m * t.numerator // t.denominator)
-        total += value * (c - below)
-        below = c
-    return total + p.arc_values[-1] * (j_max - below)
 
 
 def gap_decomposition(p: IndexProfile, m: int) -> tuple[int, int, set[int]]:
@@ -108,13 +84,9 @@ def gap_decomposition(p: IndexProfile, m: int) -> tuple[int, int, set[int]]:
         A_m = 2 * I(e(m / (2m+2))) - 2       for even m,
         B_m = 2 * sum_{1 <= j < m/2} [ I(e(j/(m+1))) - I(e(j/m)) ].
 
-    B_m is counted per arc in O(l) exact integers: with J = floor((m-1)/2),
-
-        sum_{1 <= j <= J} I(e(j/M)) = sum_k I_k * (c_k - c_{k-1}),
-        c_k = min(J, ceil(M * t_k) - 1),  c_0 = 0,  c_{l+1} = J,
-
-    taken at M = m+1 and M = m.  Once no point j/M with j <= J hits t_k,
-    c_k = min(J, floor(M * t_k)), the count `_purekernel.index_at` uses.
+    By Bott's formula the gap is A_m + B_m, so B_m is read as
+    ind(c^{m+1}) - ind(c^m) - A_m from two O(l) kernel calls;
+    `reference.naive_gap_decomposition` keeps the per-point sum.
 
     A point that hits a phase raises PhaseCollision for the first such
     point of a point-by-point scan: the A_m point, then smallest j,
@@ -137,13 +109,15 @@ def gap_decomposition(p: IndexProfile, m: int) -> tuple[int, int, set[int]]:
     j_max = (m - 1) // 2
     # The scan meets j/(m+1) < j/m < (j+1)/(m+1) in increasing order, so its
     # first collision is at the smallest phase some point hits; j/M equals
-    # t = a/q (lowest terms) iff q divides M*a, at j = M*a/q.
+    # t = a/q (lowest terms) iff q divides M*a, at j = M*a/q.  With the A_m
+    # point it catches every q dividing m or m+1, so neither index collides.
     for idx, t in enumerate(p.phases):
         for big_m in (m + 1, m):
             j, rem = divmod(big_m * t.numerator, t.denominator)
             if rem == 0 and 1 <= j <= j_max:
                 raise PhaseCollision(t, idx)
-    b_m = 2 * (_root_sum(p, m + 1, j_max) - _root_sum(p, m, j_max))
+    arcs, phases = p.arc_values, p.phases
+    b_m = kernel.index_at(arcs, phases, m + 1) - kernel.index_at(arcs, phases, m) - a_m
     j_set: set[int] = set()
     if p.phases:
         t_last = p.phases[-1]

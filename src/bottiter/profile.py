@@ -161,22 +161,28 @@ def validate_profile(p: IndexProfile) -> list[str]:
     return violations
 
 
-def evaluate_index_function(p: IndexProfile, t: Fraction | int | str) -> int:
-    """Value of the index function at the point e(t), t in [0, 1/2].
+def arc_position(p: IndexProfile, t: Fraction) -> int:
+    """0-based position of the arc holding e(t), t in [0, 1/2].
 
     Raises PhaseCollision if t hits a stored phase exactly, since the
     profile then cannot decide which neighbouring arc applies.
     """
-    t = _as_fraction(t)
-    if not (0 <= t <= HALF):
-        raise ValueError(f"t = {t} outside [0, 1/2]")
     # Binary search would also do; l <= n - 1 keeps the scan short.
     for j, phase in enumerate(p.phases):
         if t == phase:
             raise PhaseCollision(t, j)
         if t < phase:
-            return p.arc_values[j]
-    return p.arc_values[-1]
+            return j
+    return len(p.arc_values) - 1
+
+
+def evaluate_index_function(p: IndexProfile, t: Fraction | int | str) -> int:
+    """Value of the index function at the point e(t), t in [0, 1/2]; raises
+    what `arc_position` raises."""
+    t = _as_fraction(t)
+    if not (0 <= t <= HALF):
+        raise ValueError(f"t = {t} outside [0, 1/2]")
+    return p.arc_values[arc_position(p, t)]
 
 
 def average_index(p: IndexProfile) -> Fraction:
@@ -218,6 +224,11 @@ def classify_elliptic_extremal(p: IndexProfile) -> bool:
     return variation == p.n - 1
 
 
+def _is_int(value) -> bool:
+    # JSON true and false load as bool, a subclass of int.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def profile_from_document(document: str) -> IndexProfile:
     """Parse the one-object text format; raise ProfileFormatError with the
     first violated constraint otherwise.
@@ -237,16 +248,16 @@ def profile_from_document(document: str) -> IndexProfile:
         if key not in doc:
             raise ProfileFormatError(f"missing field {key!r}")
     n = doc["n"]
-    if not isinstance(n, int) or n < 2:
+    if not _is_int(n) or n < 2:
         raise ProfileFormatError(f"n must be an integer >= 2, got {n!r}")
     arcs = doc["I"]
-    if not isinstance(arcs, list) or not all(isinstance(v, int) for v in arcs):
+    if not isinstance(arcs, list) or not all(map(_is_int, arcs)):
         raise ProfileFormatError("I must be a list of integers")
     raw_phases = doc["t"]
     if not isinstance(raw_phases, list):
         raise ProfileFormatError("t must be a list of rational strings")
     nulls = doc["N"]
-    if not isinstance(nulls, list) or not all(isinstance(v, int) for v in nulls):
+    if not isinstance(nulls, list) or not all(map(_is_int, nulls)):
         raise ProfileFormatError("N must be a list of integers")
     if len(arcs) != len(raw_phases) + 1:
         raise ProfileFormatError(
@@ -261,6 +272,8 @@ def profile_from_document(document: str) -> IndexProfile:
     phases = []
     for j, text in enumerate(raw_phases):
         try:
+            if not isinstance(text, str):
+                raise TypeError  # a JSON number would be read inexactly
             phases.append(Fraction(text))
         except (ValueError, ZeroDivisionError, TypeError):
             raise ProfileFormatError(f"malformed rational string at t[{j}]: {text!r}") from None
@@ -271,7 +284,7 @@ def profile_from_document(document: str) -> IndexProfile:
     if "S" in doc:
         raw = doc["S"]
         ok = isinstance(raw, list) and all(
-            isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, int) for x in pair)
+            isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))
             for pair in raw
         )
         if not ok:

@@ -46,13 +46,17 @@ step and at most once per two steps.  Two exact facts follow:
     increasing order and each is evaluated in O(l) integers.
 
 Otherwise the step checks every m.  The Morse step reads the one
-Bott sequence a candidate still needs, up to its iterate cutoff.  The
-pipeline hands the staircase report back with its verdict, so each
-candidate is checked against the proposition once.
+Bott sequence a candidate still needs, up to its iterate cutoff.
+`verify_theorem` runs every instantiated candidate through
+`single_geodesic_pipeline` and reads its tallies from the verdict: each
+candidate past the relation was checked against the proposition once,
+inside the pipeline, and the report is rebuilt only for a candidate that
+fails it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -89,6 +93,9 @@ STEP_IDS = (
     "phase-infeasible",
 )
 
+# The steps that need only ind(c), ind(c^2) and the average index.
+_EARLY_STEPS = STEP_IDS[:3]
+
 # Canonical instantiation places the free phases at consecutive grid points
 # starting at 3/Q.  Measured over n = 3..8 at (H, Q) = (200, 499) and
 # (10000, 20011):
@@ -108,10 +115,6 @@ class Signature:
     n: int
     arc_values: tuple[int, ...]
     nullities: tuple[int, ...]
-
-    def gamma(self) -> Fraction:
-        magnitude = Fraction(1) if self.arc_values[-1] % 2 == 0 else Fraction(1, 2)
-        return magnitude if self.arc_values[0] % 2 == 0 else -magnitude
 
 
 @dataclass(frozen=True)
@@ -448,17 +451,10 @@ def single_geodesic_pipeline(
 ) -> Union[ContradictionReport, str]:
     """Run the contradiction pipeline; return the first failing step with
     exact witnesses, or the explicit consistent-up-to-horizon verdict."""
-    return _pipeline(n, p, horizon)[0]
-
-
-def _pipeline(
-    n: int, p: IndexProfile, horizon: int
-) -> tuple[Union[ContradictionReport, str], Prop33Report | None]:
-    """The pipeline's verdict, and the staircase proposition's report on p
-    at the horizon min(horizon, smallest phase denominator - 1): None when
-    the run stops before that step or the hypotheses fail."""
     if horizon < 3:
         raise PrecondViolation(f"horizon = {horizon} must be >= 3")
+    if n != p.n:
+        raise PrecondViolation(f"n = {n} does not match the profile's n = {p.n}")
     alpha = average_index(p)
     if alpha <= 0:
         raise PrecondViolation("pipeline requires a positive average index")
@@ -469,7 +465,7 @@ def _pipeline(
             candidate=p,
             failed_step="index-of-prime",
             witness={"ind_c": ind1, "required": n - 1},
-        ), None
+        )
 
     ind2 = bott_index(p, 2)
     if ind2 == n - 1:
@@ -483,7 +479,7 @@ def _pipeline(
                 "w_at_n_minus_1": 2,
                 "betti_at_n_minus_1": betti_number(n, n - 1),
             },
-        ), None
+        )
 
     gamma = gamma_invariant(p)
     ratio = alpha / abs(gamma)
@@ -498,17 +494,16 @@ def _pipeline(
                 "alpha_over_abs_gamma": str(ratio),
                 "required_value": str(average_relation_value(n)),
             },
-        ), None
+        )
 
     bad = validate_profile(p)
     if bad:
         raise PrecondViolation(f"invalid profile: {bad[0]}")
-    try:
-        h33 = _collision_free_length(p, horizon)
-        prop33 = _staircase_report(p, alpha, gamma, ind1, ind2, h33)
-    except HypothesesNotMet:
-        prop33 = None
-    if prop33 is not None and not prop33.passed:
+    # The staircase hypotheses hold here: ind(c) = n - 1; ind(c^2) =
+    # n - 1 + I_{l+1} >= n, as I_{l+1} >= 0 and ind(c^2) != n - 1; and
+    # alpha < 2|gamma| by the relation.
+    prop33 = _staircase_report(p, alpha, gamma, ind1, ind2, _collision_free_length(p, horizon))
+    if not prop33.passed:
         return ContradictionReport(
             candidate=p,
             failed_step="prop33-hypotheses",
@@ -518,12 +513,12 @@ def _pipeline(
                 "conclusion_c": prop33.conclusion_c,
                 "details": prop33.details,
             },
-        ), prop33
+        )
 
     # Degrees the first few iterates can reach; wide enough to expose the
     # early double hits without outrunning slowly-growing candidates.
     window = max(1, math.ceil(4 * alpha))
-    w = count_w(bott_index_sequence(p, cutoff_for(p.n, alpha, window)), gamma, window)
+    w = count_w(bott_index_sequence(p, cutoff_for(n, alpha, window)), gamma, window)
     b = betti_table(n, window).ranks
     report = morse_q_recursion(w, b)
     mismatch = next((k for k in range(window + 1) if w[k] != b[k]), None)
@@ -541,7 +536,7 @@ def _pipeline(
                 if report.first_violation is None
                 else report.q[report.first_violation],
             },
-        ), prop33
+        )
 
     kill = _first_gap_kill(p, horizon)
     if kill is not None:
@@ -555,7 +550,7 @@ def _pipeline(
                 "ind_m_plus_2": ind_m_plus_2,
                 "gap": ind_m_plus_2 - ind_m,
             },
-        ), prop33
+        )
 
     check_jump_range(p.phases, horizon)
     # A jump of 2 * ind(c) = 4 (n = 3) clashes with nothing, so none is looked for.
@@ -570,9 +565,9 @@ def _pipeline(
                 "gap_bound": 4,
                 "all_k_up_to_horizon": jumps,
             },
-        ), prop33
+        )
 
-    return CONSISTENT, prop33
+    return CONSISTENT
 
 
 def _spread_phases(l: int, q: int) -> tuple[Fraction, ...]:
@@ -580,13 +575,26 @@ def _spread_phases(l: int, q: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(j * step, q) for j in range(1, l + 1))
 
 
-def _ordered_interior(phases: list[Fraction]) -> bool:
-    prev = Fraction(0)
+def _solve_adjusted(
+    diffs: list[int],
+    r: int,
+    residual: Fraction,
+    numerators: dict[int, int],
+    grid: int,
+    threshold: int,
+) -> list[Fraction] | None:
+    """Phases t_j = numerators[j] / grid for j != r, with t_r solved exactly
+    from sum_j diffs[j] * t_j = residual; None unless they are strictly
+    increasing in (0, 1/2) with every denominator above the threshold."""
+    fixed_sum = sum(Fraction(diffs[j] * numerators[j], grid) for j in numerators)
+    t_r = (residual - fixed_sum) / diffs[r]
+    phases = [Fraction(numerators[j], grid) if j != r else t_r for j in range(len(diffs))]
+    prev = 0
     for t in phases:
-        if not (prev < t < HALF):
-            return False
+        if not (prev < t < HALF) or t.denominator <= threshold:
+            return None
         prev = t
-    return True
+    return phases
 
 
 def _offset_grid_attempt(
@@ -597,23 +605,11 @@ def _offset_grid_attempt(
     threshold: int,
     bump: int,
 ) -> list[Fraction] | None:
-    l = len(diffs)
-    numerators: dict[int, int] = {}
-    value = _GRID_OFFSET
-    free = [j for j in range(l) if j != r]
-    for j in free:
-        numerators[j] = value
-        value += 1
+    free = [j for j in range(len(diffs)) if j != r]
+    numerators = dict(zip(free, itertools.count(_GRID_OFFSET)))
     if free:
         numerators[free[-1]] += bump
-    fixed_sum = sum(Fraction(diffs[j] * numerators[j], q) for j in free)
-    t_r = (residual - fixed_sum) / diffs[r]
-    phases = [Fraction(numerators[j], q) if j != r else t_r for j in range(l)]
-    if not _ordered_interior(phases):
-        return None
-    if t_r.denominator <= threshold:
-        return None
-    return phases
+    return _solve_adjusted(diffs, r, residual, numerators, q, threshold)
 
 
 def phase_instantiate(
@@ -641,11 +637,6 @@ def phase_instantiate(
 
     def infeasible(reason: str) -> PhaseInfeasible:
         return PhaseInfeasible(signature=s, alpha_target=alpha_target, reason=reason)
-
-    if l == 0:
-        if alpha_target == arcs[0]:
-            return IndexProfile(s.n, arcs, (), ())
-        return infeasible(f"average index is forced to I_1 = {arcs[0]}")
 
     diffs = [arcs[j] - arcs[j + 1] for j in range(l)]
     residual = (alpha_target - arcs[-1]) / 2  # = sum_j diffs[j] * t_j
@@ -701,7 +692,7 @@ def _snap_interior_solution(
     residual: Fraction,
     q: int,
     threshold: int,
-) -> tuple[Fraction, ...] | None:
+) -> list[Fraction] | None:
     """Fallback: build an interior weight solution, snap the free phases to
     a fine grid, and re-solve the adjustment coordinate exactly."""
     l = len(diffs)
@@ -750,14 +741,9 @@ def _snap_interior_solution(
             prev = pj
         if not ok:
             continue
-        fixed_sum = sum(Fraction(diffs[j] * numerators[j], grid) for j in numerators)
-        t_r = (residual - fixed_sum) / diffs[r]
-        phases = [Fraction(numerators[j], grid) if j != r else t_r for j in range(l)]
-        if not _ordered_interior(phases):
-            continue
-        if any(t.denominator <= threshold for t in phases):
-            continue
-        return tuple(phases)
+        phases = _solve_adjusted(diffs, r, residual, numerators, grid, threshold)
+        if phases is not None:
+            return phases
     return None
 
 
@@ -801,6 +787,8 @@ def verify_theorem(n: int, horizon: int, q: int) -> VerificationSummary:
         raise PrecondViolation(
             f"Q = {q} must exceed 2*horizon + 1 = {2 * horizon + 1}"
         )
+    if horizon < 3:
+        raise PrecondViolation(f"horizon = {horizon} must be >= 3")
     relation = average_relation_value(n)
     budget = n - 1
     by_step = {step: 0 for step in STEP_IDS}
@@ -834,13 +822,18 @@ def verify_theorem(n: int, horizon: int, q: int) -> VerificationSummary:
             if isinstance(outcome, PhaseInfeasible):
                 by_step["phase-infeasible"] += splits
                 continue
-            verdict, rep33 = _pipeline(n, outcome, horizon)
-            if rep33 is not None:
-                prop33_checked += splits
+            verdict = single_geodesic_pipeline(n, outcome, horizon)
             survived = verdict == CONSISTENT
+            step = CONSISTENT if survived else verdict.failed_step
+            failed33 = None
+            if step not in _EARLY_STEPS:
+                # Past the relation the pipeline has checked the staircase
+                # proposition; it fails only at its own step.
+                prop33_checked += splits
+                if step == "prop33-hypotheses":
+                    failed33 = check_prop33(outcome, _collision_free_length(outcome, horizon))
             if not survived:
-                by_step[verdict.failed_step] += splits
-            failed33 = rep33 if rep33 is not None and not rep33.passed else None
+                by_step[step] += splits
             if survived or failed33 is not None:
                 kept.append((outcome.phases, failed33, survived))
 

@@ -131,6 +131,12 @@ def test_input_errors_exit_2(tmp_path):
     assert "length mismatch" in result.stderr
 
 
+@pytest.mark.parametrize("n,horizon,q", [("3", "0", "3"), ("3", "-5", "3"), ("4", "2", "7")])
+def test_verify_short_horizon_exit_2(n, horizon, q):
+    code, out, err = run_in_process("verify", "--n", n, "--horizon", horizon, "--q", q)
+    assert (code, out, err) == (2, "", f"bottiter: horizon = {horizon} must be >= 3\n")
+
+
 def test_unknown_flag_rejected(profile_path):
     result = run_cli("alpha", "--profile", profile_path, "--frobnicate")
     assert result.returncode == 2

@@ -159,6 +159,30 @@ class TestDocuments:
         with pytest.raises(ProfileFormatError, match="exceeds N_1"):
             profile_from_document(doc)
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            # A JSON number is no exact rational: 0.1 would load as a float.
+            ('{ "n": 3, "I": [2,1], "t": [0.1], "N": [1] }', r"malformed rational string at t\[0\]: 0\.1"),
+            ('{ "n": 3, "I": [2,1], "t": [1], "N": [1] }', r"malformed rational string at t\[0\]: 1"),
+            ('{ "n": 3, "I": [2,1], "t": [true], "N": [1] }', r"malformed rational string at t\[0\]: True"),
+            # JSON true and false are not integers.
+            ('{ "n": true, "I": [2], "t": [], "N": [] }', "n must be an integer >= 2, got True"),
+            ('{ "n": 3.0, "I": [2], "t": [], "N": [] }', "n must be an integer >= 2, got 3.0"),
+            ('{ "n": 3, "I": [true, false], "t": ["1/5"], "N": [1] }', "I must be a list of integers"),
+            ('{ "n": 3, "I": [2.0], "t": [], "N": [] }', "I must be a list of integers"),
+            ('{ "n": 3, "I": [2,1], "t": ["1/5"], "N": [true] }', "N must be a list of integers"),
+            (
+                '{ "n": 3, "I": [2,1], "t": ["1/5"], "N": [1], "S": [[false, true]] }',
+                "S must be a list of",
+            ),
+        ],
+        ids=["t-float", "t-int", "t-bool", "n-bool", "n-float", "I-bool", "I-float", "N-bool", "S-bool"],
+    )
+    def test_non_integers_and_numbers_rejected(self, doc, message):
+        with pytest.raises(ProfileFormatError, match=message):
+            profile_from_document(doc)
+
     def test_missing_field(self):
         with pytest.raises(ProfileFormatError, match="missing field"):
             profile_from_document('{ "n": 3, "I": [2], "t": [] }')

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import math
@@ -19,6 +18,7 @@ from bottiter import (
     IndexProfile,
     PhaseInfeasible,
     PrecondViolation,
+    Prop33Report,
     Signature,
     average_index,
     bott_index,
@@ -243,6 +243,21 @@ class TestPhaseInstantiate:
             assert isinstance(outcome, PhaseInfeasible)
             assert "forced phase t_1 = 1/4 is rational" in outcome.reason
 
+    def test_composite_grid_keeps_every_denominator_above_threshold(self):
+        # On Q = 441 = 3^2 * 7^2 the grid points 3/441 and 6/441 reduce to
+        # 1/147 and 2/147: every phase is checked, not only the solved one.
+        relation = average_relation_value(5)
+        instantiated = 0
+        for s in enumerate_signatures(5):
+            if s.arc_values[0] != 4:
+                continue
+            for magnitude in (Fraction(1), Fraction(1, 2)):
+                outcome = phase_instantiate(s, relation * magnitude, 441, horizon=200)
+                if isinstance(outcome, IndexProfile):
+                    instantiated += 1
+                    assert all(t.denominator > 401 for t in outcome.phases), outcome
+        assert instantiated
+
     def test_instantiated_targets_across_space(self):
         # Every successful instantiation is valid, hits the target exactly,
         # and carries only collision-safe denominators.
@@ -335,15 +350,22 @@ class TestAgainstFrozenPipeline:
     @staticmethod
     def _same(n, p, horizon, h33):
         new = _outcome(lambda: single_geodesic_pipeline(n, p, horizon))
-        old = _outcome(lambda: verify_oracle.single_geodesic_pipeline(n, p, horizon))
-        assert new == old, (n, p, horizon)
-        if not isinstance(new, tuple):
-            # The report verify_theorem takes from the same pass.
-            report = bottiter.verifier._pipeline(n, p, horizon)[1]
-            early = new != CONSISTENT and new.failed_step in (
-                "index-of-prime", "second-iterate", "average-relation"
-            )
-            assert report == (None if early else verify_oracle.prop33_report(p, horizon))
+        if n != p.n and horizon >= 3:
+            # The pipeline runs a profile in its own dimension only.
+            assert new == (
+                PrecondViolation, f"n = {n} does not match the profile's n = {p.n}"
+            ), (n, p, horizon)
+        else:
+            old = _outcome(lambda: verify_oracle.single_geodesic_pipeline(n, p, horizon))
+            assert new == old, (n, p, horizon)
+        if not isinstance(new, tuple) and (
+            new == CONSISTENT
+            or new.failed_step not in ("index-of-prime", "second-iterate", "average-relation")
+        ):
+            # Past the relation the staircase hypotheses hold, and the
+            # report verify_theorem rebuilds is the oracle's.
+            h = min([horizon] + [t.denominator - 1 for t in p.phases])
+            assert check_prop33(p, h) == verify_oracle.prop33_report(p, horizon), p
         assert _outcome(lambda: check_prop33(p, h33)) == _outcome(
             lambda: verify_oracle.check_prop33(p, h33)
         ), (p, h33)
@@ -354,10 +376,15 @@ class TestAgainstFrozenPipeline:
     def test_pipeline_and_prop33_match(self):
         rng = random.Random(2024)
         ends = set()
+        # Every profile (3000 and the representatives) is compared in its
+        # own dimension; about one in five is also run in another one.
         for p in self._profiles(rng, 3000):
-            n = rng.choice((p.n, p.n, rng.randint(2, 8)))
             horizon = rng.choice((3, 10, 48, 96, 200, 200, 1000))
-            ends.add(self._same(n, p, horizon, rng.choice((None, 0, 1, 2, 50, 500))))
+            h33 = rng.choice((None, 0, 1, 2, 50, 500))
+            ends.add(self._same(p.n, p, horizon, h33))
+            if rng.random() < 0.2:
+                other = rng.choice([n for n in range(2, 9) if n != p.n])
+                assert self._same(other, p, horizon, h33) == "PrecondViolation"
         # Every step the pipeline can fail at (jump-clash is rare here, and
         # test_edges_match reaches it), and each kind of exception.
         assert ends >= set(STEP_IDS[:-1]) - {"prop33-hypotheses", "jump-clash"} | {
@@ -370,8 +397,7 @@ class TestAgainstFrozenPipeline:
         # PrecondViolation (249, 250), at gap-bound (498), and at the gap
         # step's PhaseCollision (499, 1000); the second profile is invalid;
         # the third forces t = 1/4, where the Morse step collides at H = 3;
-        # the last, run as n = 4, takes its Morse cutoff from its own n = 7,
-        # which collides at m = 11.
+        # the last, an n = 7 profile run as n = 4, is rejected before any step.
         for n, p in (
             (4, IndexProfile(4, (3, 2, 1, 2), ("3/499", "4/499", "527/1996"), (1, 1, 1))),
             (4, IndexProfile(4, (3, 2, 1, 2), ("13/97", "10/97", "31/97"), (1, 1, 1))),
@@ -390,19 +416,12 @@ def _recheck_witness(report, n: int, horizon: int) -> None:
     if step == "index-of-prime":
         assert candidate.arc_values[0] != n - 1
     elif step == "second-iterate":
-        if isinstance(candidate, IndexProfile):
-            assert bott_index(candidate, 2) == n - 1
-        else:
-            assert candidate.arc_values[0] + candidate.arc_values[-1] == n - 1
+        assert bott_index(candidate, 2) == n - 1
         assert witness["betti_at_n_minus_1"] == betti_number(n, n - 1)
     elif step == "average-relation":
-        if isinstance(candidate, IndexProfile):
-            ratio = average_index(candidate) / abs(gamma_invariant(candidate))
-            ok = ratio == 1 if n == 3 else 1 < ratio < 2
-            assert not ok
-        else:
-            required = Fraction(witness["required_alpha"])
-            assert required == average_relation_value(n) * abs(candidate.gamma())
+        ratio = average_index(candidate) / abs(gamma_invariant(candidate))
+        ok = ratio == 1 if n == 3 else 1 < ratio < 2
+        assert not ok
     elif step == "morse-feasibility":
         assert isinstance(candidate, IndexProfile)
         window = witness["max_degree"]
@@ -489,34 +508,44 @@ class TestVerifyTheorem:
         assert len(fast.survivors) == survivors
 
     def test_listing_order_over_nullity_splits(self, monkeypatch):
-        # Real survivors use the whole nullity budget, so each has a single
-        # split.  Let every instantiated profile survive and fail the
-        # staircase proposition, so that sequences with several splits are
-        # listed too, and compare both lists with the oracle.
-        real = bottiter.verifier.check_prop33
+        # Real survivors and staircase failures are strict staircases, so
+        # each has a single split and one feasible target.  Instantiate both
+        # targets of every walked sequence, let every profile with an odd
+        # number of arcs survive and every other one fail the staircase
+        # proposition, so that both lists hold sequences with several splits
+        # and two magnitudes, and compare them with the oracle.
+        real_instantiate = bottiter.verifier.phase_instantiate
 
-        def failing(p, horizon=None):
-            return dataclasses.replace(real(p, horizon), conclusion_c=False)
+        def instantiate(s, alpha_target, q, horizon=None):
+            if min(s.arc_values) > 1:  # counted in closed form by verify_theorem
+                return real_instantiate(s, alpha_target, q, horizon)
+            # Distinct per target, with denominators above the horizon.
+            a, b = alpha_target.numerator, alpha_target.denominator
+            phases = [Fraction(j * a, 1009 * b) for j in range(1, len(s.arc_values))]
+            return IndexProfile(s.n, s.arc_values, phases, s.nullities)
 
-        def consistent(n, p, horizon):
-            return CONSISTENT
+        def report(p, horizon=None):
+            return Prop33Report({}, True, True, len(p.arc_values) % 2 == 1, horizon, {})
 
-        def driver(n, p, horizon):
-            try:
-                return CONSISTENT, failing(p, horizon)
-            except HypothesesNotMet:
-                return CONSISTENT, None
+        def pipeline(n, p, horizon):
+            if report(p).passed:
+                return CONSISTENT
+            return ContradictionReport(p, "prop33-hypotheses", {})
 
-        monkeypatch.setattr(bottiter.verifier, "_pipeline", driver)
-        monkeypatch.setattr(verify_oracle, "check_prop33", failing)
-        monkeypatch.setattr(verify_oracle, "single_geodesic_pipeline", consistent)
+        for module in (bottiter.verifier, verify_oracle):
+            monkeypatch.setattr(module, "phase_instantiate", instantiate)
+            monkeypatch.setattr(module, "check_prop33", report)
+            monkeypatch.setattr(module, "single_geodesic_pipeline", pipeline)
         fast = verify_theorem(5, 200, 499)
         slow = naive_verify(5, 200, 499)
         assert fast.to_dict() == slow.to_dict()
+        assert fast.prop33_checked == slow.prop33_checked
         assert fast.prop33_failures == slow.prop33_failures
-        listed = {profile_from_document(doc).arc_values for doc in fast.survivors}
-        assert len(fast.survivors) > len(listed)
-        assert fast.prop33_failures
+        for listed in (
+            [profile_from_document(doc) for doc in fast.survivors],
+            [p for p, _ in fast.prop33_failures],
+        ):
+            assert len(listed) > len({p.arc_values for p in listed}) > 1
 
     def test_documented_summaries(self):
         # perfbench/expected_default.json pins the summaries the benchmark
@@ -531,7 +560,7 @@ class TestVerifyTheorem:
         # the Morse step's iterate cutoff: the later steps read crossings.
         calls = []
         real_sequence = bottiter.kernel.index_sequence
-        real_pipeline = bottiter.verifier._pipeline
+        real_pipeline = bottiter.verifier.single_geodesic_pipeline
 
         def counted_sequence(*args):
             calls.append(args)
@@ -541,16 +570,16 @@ class TestVerifyTheorem:
 
         def counted_pipeline(n, p, horizon):
             before = len(calls)
-            verdict, rep33 = real_pipeline(n, p, horizon)
+            verdict = real_pipeline(n, p, horizon)
             step = verdict if verdict == CONSISTENT else verdict.failed_step
             per_candidate.append((step, len(calls) - before))
             alpha = average_index(p)
             cutoff = cutoff_for(n, alpha, math.ceil(4 * alpha))
             assert all(m_max <= cutoff for _, _, m_max in calls[before:]), (p, cutoff)
-            return verdict, rep33
+            return verdict
 
         monkeypatch.setattr(bottiter.kernel, "index_sequence", counted_sequence)
-        monkeypatch.setattr(bottiter.verifier, "_pipeline", counted_pipeline)
+        monkeypatch.setattr(bottiter.verifier, "single_geodesic_pipeline", counted_pipeline)
         for n in range(3, 8):
             verify_theorem(n, 200, 499)
         verify_theorem(6, 200, 601)  # with a survivor
@@ -567,7 +596,7 @@ class TestVerifyTheorem:
             IndexProfile(3, (2,)),
         ):
             before = len(calls)
-            verdict = single_geodesic_pipeline(p.n, p, 96)
+            verdict = real_pipeline(p.n, p, 96)
             assert verdict.failed_step in early
             assert len(calls) == before
 
@@ -578,6 +607,12 @@ class TestVerifyTheorem:
             verify_theorem(4, 200, 501)  # not prime
         with pytest.raises(PrecondViolation):
             verify_theorem(9, 200, 499)
+        # A horizon below 3 is refused up front, after the checks above.
+        for n, horizon, q in ((3, -5, 3), (3, 0, 3), (4, 2, 7)):
+            with pytest.raises(PrecondViolation, match=f"horizon = {horizon} must be >= 3"):
+                verify_theorem(n, horizon, q)
+        with pytest.raises(PrecondViolation, match="must be prime"):
+            verify_theorem(3, 0, 4)
 
     def test_deterministic_summary(self):
         a = verify_theorem(3, 100, 499)
