@@ -24,6 +24,7 @@ column to the series' coefficients.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,6 +49,12 @@ def check_table_request(n: int, max_degree: int) -> None:
         raise ValueError(f"max_degree = {max_degree} must be >= 0")
 
 
+@functools.cache  # betti_number reads it on every call
+def _doubled(n: int) -> tuple[int, int]:
+    """(start, step) of the degrees k = start + i*step, i >= 0, where b_k = 2."""
+    return (3 * (n - 1), 2 * (n - 1)) if n % 2 == 0 else (2 * (n - 1), n - 1)
+
+
 def betti_number(n: int, k: int) -> int:
     """b_k of the equivariant loop-space pair for the rational n-sphere."""
     _check_n(n)
@@ -55,15 +62,8 @@ def betti_number(n: int, k: int) -> int:
         raise ValueError(f"k = {k} must be >= 0")
     if k < n - 1 or (k - (n - 1)) % 2 != 0:
         return 0
-    if n % 2 == 0:
-        j, r = divmod(k, n - 1)
-        if r == 0 and j % 2 == 1 and j >= 3:
-            return 2
-    else:
-        j, r = divmod(k, n - 1)
-        if r == 0 and j >= 2:
-            return 2
-    return 1
+    start, step = _doubled(n)
+    return 2 if k >= start and (k - start) % step == 0 else 1
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -130,7 +130,7 @@ def betti_table(n: int, max_degree: int) -> BettiTable:
     ranks = [0] * (max_degree + 1)
     if ranks:
         _check_n(n)
-        start, step = (3 * (n - 1), 2 * (n - 1)) if n % 2 == 0 else (2 * (n - 1), n - 1)
+        start, step = _doubled(n)
         ranks[n - 1 :: 2] = [1] * len(range(n - 1, max_degree + 1, 2))
         ranks[start::step] = [2] * len(range(start, max_degree + 1, step))
     return BettiTable(n=n, max_degree=max_degree, ranks=tuple(ranks))
@@ -146,6 +146,6 @@ def average_euler_number(n: int) -> Fraction:
     """
     _check_n(n)
     period = 2 * (n - 1)
-    start = 2 * period  # safely inside the periodic regime
-    signed = sum((-1) ** k * betti_number(n, k) for k in range(start, start + period))
-    return Fraction(signed, period)
+    start = 2 * period  # safely inside the periodic regime, and even
+    ranks = betti_table(n, start + period - 1).ranks
+    return Fraction(sum(ranks[start::2]) - sum(ranks[start + 1 :: 2]), period)

@@ -56,6 +56,7 @@ fails it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -64,7 +65,7 @@ from typing import Iterator, Union
 
 from . import kernel
 from .errors import HypothesesNotMet, PrecondViolation
-from .homology import betti_number, betti_table
+from .homology import average_euler_number, betti_number, betti_table
 from .iteration import (
     bott_index,
     bott_index_sequence,
@@ -438,12 +439,16 @@ def check_prop33(p: IndexProfile, horizon: int | None = None) -> Prop33Report:
     )
 
 
+# Every average-relation kill reads it, and the table sum is slow beside a lookup.
+@functools.cache
 def average_relation_value(n: int) -> Fraction:
     """Right-hand side of the average-index relation: (2n-2)/n for even n,
-    (2n-2)/(n+1) for odd n."""
-    if n % 2 == 0:
-        return Fraction(2 * n - 2, n)
-    return Fraction(2 * n - 2, n + 1)
+    (2n-2)/(n+1) for odd n.
+
+    For a single prime geodesic Rademacher's resonance identity reads
+    gamma/alpha = B, the average Euler number, so alpha/|gamma| = 1/|B|.
+    """
+    return 1 / abs(average_euler_number(n))
 
 
 def single_geodesic_pipeline(
@@ -575,41 +580,65 @@ def _spread_phases(l: int, q: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(j * step, q) for j in range(1, l + 1))
 
 
-def _solve_adjusted(
-    diffs: list[int],
-    r: int,
-    residual: Fraction,
-    numerators: dict[int, int],
-    grid: int,
-    threshold: int,
-) -> list[Fraction] | None:
-    """Phases t_j = numerators[j] / grid for j != r, with t_r solved exactly
-    from sum_j diffs[j] * t_j = residual; None unless they are strictly
-    increasing in (0, 1/2) with every denominator above the threshold."""
-    fixed_sum = sum(Fraction(diffs[j] * numerators[j], grid) for j in numerators)
-    t_r = (residual - fixed_sum) / diffs[r]
-    phases = [Fraction(numerators[j], grid) if j != r else t_r for j in range(len(diffs))]
-    prev = 0
-    for t in phases:
-        if not (prev < t < HALF) or t.denominator <= threshold:
-            return None
-        prev = t
-    return phases
+def _placements(
+    arcs: tuple[int, ...], r: int, alpha_target: Fraction, q: int
+) -> Iterator[tuple[dict[int, int], int]]:
+    """Candidate placements of the free phases j != r (there is at least
+    one), in the order they are tried, as (numerator of each t_j, common
+    denominator).
 
-
-def _offset_grid_attempt(
-    diffs: list[int],
-    r: int,
-    residual: Fraction,
-    q: int,
-    threshold: int,
-    bump: int,
-) -> list[Fraction] | None:
-    free = [j for j in range(len(diffs)) if j != r]
-    numerators = dict(zip(free, itertools.count(_GRID_OFFSET)))
-    if free:
+    First the offset grid: consecutive points from _GRID_OFFSET / q, with
+    the last free numerator bumped by 0, 1, 2 and 3.  Then an interior
+    weight solution (the target as a convex combination of the arc values,
+    every weight positive) whose phases are snapped to a grid fine enough
+    to keep them apart, shifted by 0..5 grid steps.
+    """
+    l = len(arcs) - 1
+    free = [j for j in range(l) if j != r]
+    for bump in range(4):
+        numerators = dict(zip(free, itertools.count(_GRID_OFFSET)))
         numerators[free[-1]] += bump
-    return _solve_adjusted(diffs, r, residual, numerators, q, threshold)
+        yield numerators, q
+
+    a = next(k for k, v in enumerate(arcs) if v < alpha_target)
+    b = next(k for k, v in enumerate(arcs) if v > alpha_target)
+    others = [k for k in range(l + 1) if k not in (a, b)]
+    beta = Fraction(1, 4 * (l + 1) * (1 + max(arcs)))
+    for _ in range(200):
+        mass = 1 - beta * len(others)
+        dot = alpha_target - beta * sum(arcs[k] for k in others)
+        mu_b = (dot - mass * arcs[a]) / (arcs[b] - arcs[a])
+        mu_a = mass - mu_b
+        if mu_a > 0 and mu_b > 0:
+            break
+        beta /= 2
+    else:
+        return
+    mu = [beta] * (l + 1)
+    mu[a], mu[b] = mu_a, mu_b
+    base: list[Fraction] = []
+    acc = Fraction(0)
+    for k in range(l):
+        acc += mu[k]
+        base.append(acc / 2)
+    widths = [base[0]] + [base[k] - base[k - 1] for k in range(1, l)] + [HALF - base[-1]]
+    fineness = Fraction(4 * (l + 2), q) / min(widths)
+    grid = q * max(1, math.ceil(fineness))
+    half_limit = (grid - 1) // 2
+    for shift in range(6):
+        numerators = {}
+        prev = 0
+        for j in free:
+            pj = int(base[j] * grid + Fraction(1, 2)) + shift
+            pj = max(prev + 1, min(pj, half_limit))
+            if pj % q == 0:
+                pj += 1
+            if pj <= prev or pj > half_limit:
+                break
+            numerators[j] = pj
+            prev = pj
+        else:
+            yield numerators, grid
 
 
 def phase_instantiate(
@@ -629,6 +658,12 @@ def phase_instantiate(
     (or equals the forced value when the arcs are constant).  When a single
     arc jump carries the whole relation, it forces its phase to a rational
     value, which no bumpy metric realizes; that is certified infeasible.
+
+    Otherwise the phase t_r of the last nonzero jump is solved exactly from
+    the target, for each placement of the other phases in turn: the offset
+    grid from _GRID_OFFSET / q with its last point bumped by 0..3, then a
+    snapped interior weight solution shifted by 0..5.  The first admissible
+    vector is returned; RuntimeError is raised when none is.
     """
     alpha_target = Fraction(alpha_target)
     threshold = 2 * horizon + 1 if horizon is not None else q - 1
@@ -654,97 +689,33 @@ def phase_instantiate(
 
     nonzero = [j for j in range(l) if diffs[j] != 0]
     if len(nonzero) == 1:
+        # alpha = I_{l+1} + 2 d_r t_r, so a target inside the hull puts t_r
+        # in (0, 1/2).  A rational t_r makes e(t_r) a root of unity: some
+        # iterate is degenerate, so no bumpy metric has this profile, at any
+        # horizon.
         r = nonzero[0]
         t_r = residual / diffs[r]
-        if not (0 < t_r < HALF):
-            return infeasible(f"forced phase t_{r + 1} = {t_r} is not interior")
-        # A rational t_r makes e(t_r) a root of unity: some iterate is
-        # degenerate, so no bumpy metric has this profile, at any horizon.
         return infeasible(
             f"forced phase t_{r + 1} = {t_r} is rational, so e(t_{r + 1}) is a "
             "root of unity and some iterate is degenerate"
         )
 
     r = nonzero[-1]
-    for bump in range(4):
-        phases = _offset_grid_attempt(diffs, r, residual, q, threshold, bump)
-        if phases is not None:
+    for numerators, grid in _placements(arcs, r, alpha_target, q):
+        fixed_sum = sum(Fraction(diffs[j] * numerators[j], grid) for j in numerators)
+        t_r = (residual - fixed_sum) / diffs[r]
+        phases = [Fraction(numerators[j], grid) if j != r else t_r for j in range(l)]
+        bounds = [0, *phases, HALF]
+        if all(x < y for x, y in zip(bounds, bounds[1:])) and all(
+            t.denominator > threshold for t in phases
+        ):
             profile = IndexProfile(s.n, arcs, phases, s.nullities)
             assert average_index(profile) == alpha_target
             return profile
-
-    phases = _snap_interior_solution(arcs, diffs, r, alpha_target, residual, q, threshold)
-    if phases is None:
-        raise RuntimeError(
-            f"target {alpha_target} lies inside the hull but no instantiation "
-            "was constructed; not an infeasibility certificate"
-        )
-    profile = IndexProfile(s.n, arcs, phases, s.nullities)
-    assert average_index(profile) == alpha_target
-    return profile
-
-
-def _snap_interior_solution(
-    arcs: tuple[int, ...],
-    diffs: list[int],
-    r: int,
-    alpha_target: Fraction,
-    residual: Fraction,
-    q: int,
-    threshold: int,
-) -> list[Fraction] | None:
-    """Fallback: build an interior weight solution, snap the free phases to
-    a fine grid, and re-solve the adjustment coordinate exactly."""
-    l = len(diffs)
-    values = list(arcs)
-    a = next(k for k, v in enumerate(values) if v < alpha_target)
-    b = next(k for k, v in enumerate(values) if v > alpha_target)
-    others = [k for k in range(l + 1) if k not in (a, b)]
-    beta = Fraction(1, 4 * (l + 1) * (1 + max(values)))
-    for _ in range(200):
-        mass = 1 - beta * len(others)
-        dot = alpha_target - beta * sum(values[k] for k in others)
-        mu_b = (dot - mass * values[a]) / (values[b] - values[a])
-        mu_a = mass - mu_b
-        if mu_a > 0 and mu_b > 0:
-            break
-        beta /= 2
-    else:
-        return None
-    mu = [beta] * (l + 1)
-    mu[a], mu[b] = mu_a, mu_b
-    base: list[Fraction] = []
-    acc = Fraction(0)
-    for k in range(l):
-        acc += mu[k]
-        base.append(acc / 2)
-    widths = [base[0]] + [base[k] - base[k - 1] for k in range(1, l)] + [HALF - base[-1]]
-    w_min = min(widths)
-    fineness = Fraction(4 * (l + 2), q) / w_min
-    grid = q * max(1, math.ceil(fineness))
-    half_limit = (grid - 1) // 2
-    for shift in range(6):
-        numerators: dict[int, int] = {}
-        prev = 0
-        ok = True
-        for j in range(l):
-            if j == r:
-                continue
-            pj = int(base[j] * grid + Fraction(1, 2)) + shift
-            pj = max(prev + 1, min(pj, half_limit))
-            if pj % q == 0:
-                pj += 1
-            if pj <= prev or pj > half_limit:
-                ok = False
-                break
-            numerators[j] = pj
-            prev = pj
-        if not ok:
-            continue
-        phases = _solve_adjusted(diffs, r, residual, numerators, grid, threshold)
-        if phases is not None:
-            return phases
-    return None
+    raise RuntimeError(
+        f"target {alpha_target} lies inside the hull but no instantiation "
+        "was constructed; not an infeasibility certificate"
+    )
 
 
 def _is_prime(value: int) -> bool:

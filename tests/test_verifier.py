@@ -20,6 +20,7 @@ from bottiter import (
     PrecondViolation,
     Prop33Report,
     Signature,
+    average_euler_number,
     average_index,
     bott_index,
     bott_index_sequence,
@@ -242,6 +243,27 @@ class TestPhaseInstantiate:
             outcome = phase_instantiate(s, Fraction(1), 499, horizon=horizon)
             assert isinstance(outcome, PhaseInfeasible)
             assert "forced phase t_1 = 1/4 is rational" in outcome.reason
+        # With one nonzero jump d_r, alpha = I_{l+1} + 2 d_r t_r, so every
+        # target strictly inside the hull forces an interior rational t_r.
+        checked = 0
+        for n in range(3, 7):
+            for arcs in _arc_sequences(n):
+                diffs = [a - b for a, b in zip(arcs, arcs[1:])]
+                nonzero = [j for j, d in enumerate(diffs) if d]
+                if len(nonzero) != 1:
+                    continue
+                (r,) = nonzero
+                s = Signature(n, arcs, _jump_costs(arcs))
+                lo, hi = min(arcs), max(arcs)
+                for i in range(1, 8):
+                    target = lo + Fraction(i * (hi - lo), 8)
+                    t_r = (target - arcs[-1]) / (2 * diffs[r])
+                    assert 0 < t_r < Fraction(1, 2)
+                    outcome = phase_instantiate(s, target, 499, horizon=200)
+                    assert isinstance(outcome, PhaseInfeasible), (arcs, target)
+                    assert f"forced phase t_{r + 1} = {t_r} is rational" in outcome.reason
+                    checked += 1
+        assert checked
 
     def test_composite_grid_keeps_every_denominator_above_threshold(self):
         # On Q = 441 = 3^2 * 7^2 the grid points 3/441 and 6/441 reduce to
@@ -260,16 +282,29 @@ class TestPhaseInstantiate:
 
     def test_instantiated_targets_across_space(self):
         # Every successful instantiation is valid, hits the target exactly,
-        # and carries only collision-safe denominators.
-        for n in (3, 4, 5):
-            relation = average_relation_value(n)
-            for s in enumerate_signatures(n):
-                for magnitude in (Fraction(1), Fraction(1, 2)):
-                    outcome = phase_instantiate(s, relation * magnitude, 499, horizon=200)
-                    if isinstance(outcome, IndexProfile):
-                        assert validate_profile(outcome) == []
-                        assert average_index(outcome) == relation * magnitude
-                        assert all(t.denominator > 401 for t in outcome.phases)
+        # and carries only collision-safe denominators.  At the small Q the
+        # bumped grid points and the snapped interior solution are the
+        # placements that succeed for many signatures.
+        for q, horizon in ((499, 200), (29, 10), (13, 5)):
+            for n in (3, 4, 5):
+                relation = average_relation_value(n)
+                for s in enumerate_signatures(n):
+                    for magnitude in (Fraction(1), Fraction(1, 2)):
+                        target = relation * magnitude
+                        outcome = phase_instantiate(s, target, q, horizon=horizon)
+                        if isinstance(outcome, IndexProfile):
+                            assert validate_profile(outcome) == []
+                            assert average_index(outcome) == target
+                            assert all(t.denominator > 2 * horizon + 1 for t in outcome.phases)
+
+
+def test_average_relation_is_inverse_average_euler_number():
+    # Rademacher's resonance identity for one prime geodesic, gamma/alpha = B,
+    # and the closed forms of the relation.
+    for n in range(3, 61):
+        value = average_relation_value(n)
+        assert value == 1 / abs(average_euler_number(n))
+        assert value == (Fraction(2 * n - 2, n) if n % 2 == 0 else Fraction(2 * n - 2, n + 1))
 
 
 class TestPipeline:
