@@ -1,9 +1,10 @@
 """Command-line front end.
 
 One subcommand per library operation, text profile documents in, CSV or
-structured JSON out.  Data sections are byte-identical across runs with
-identical inputs; diagnostics go to stderr.  Exit status: 0 on success,
-2 on any input error, 1 for a verify run that reports survivors.
+structured JSON out.  A subcommand computes one answer, and `main` writes
+it in the requested format.  Data sections are byte-identical across runs
+with identical inputs; diagnostics go to stderr.  Exit status: 0 on
+success, 2 on any input error, 1 for a verify run that reports survivors.
 
 Structured output is exactly the bytes of `json.dumps(obj, indent=2)`
 plus a newline.  `_json_indent2` writes them through the C encoder, which
@@ -20,8 +21,9 @@ import argparse
 import functools
 import json
 import sys
+from typing import Iterable, NamedTuple
 
-from .errors import HypothesesNotMet, PhaseCollision, PrecondViolation, ProfileFormatError
+from .errors import HypothesesNotMet, PhaseCollision, PrecondViolation
 from .homology import betti_number, betti_table, check_table_request
 from .iteration import bott_index_sequence, gap_decomposition, jump_search
 from .morse import aggregate_w, morse_q_recursion
@@ -32,6 +34,20 @@ from .verifier import check_prop33, verify_theorem
 def _load_profile(path: str) -> IndexProfile:
     with open(path, "r", encoding="utf-8") as handle:
         return profile_from_document(handle.read())
+
+
+class _Answer(NamedTuple):
+    """What a subcommand computed, in both output formats.
+
+    `rows` may be a lazy iterator over values already computed; `notice`
+    goes to stderr after the output.
+    """
+
+    header: str
+    rows: Iterable
+    document: object
+    status: int = 0
+    notice: str = ""
 
 
 def _emit_csv(header: str, rows) -> None:
@@ -70,161 +86,113 @@ def _emit_structured(obj) -> None:
     sys.stdout.write(_json_indent2(obj) + "\n")
 
 
-def _cmd_betti(args) -> int:
+def _cmd_betti(args) -> _Answer:
     check_table_request(args.n, args.max_k)
-    table = betti_table(args.n, args.max_k)
-    if args.format == "csv":
-        _emit_csv("k,b_k", enumerate(table.ranks))
-    else:
-        _emit_structured({"n": args.n, "max_degree": args.max_k, "b": list(table.ranks)})
-    return 0
+    ranks = betti_table(args.n, args.max_k).ranks
+    return _Answer("k,b_k", enumerate(ranks), {"n": args.n, "max_degree": args.max_k, "b": ranks})
 
 
-def _cmd_iterate(args) -> int:
-    p = _load_profile(args.profile)
-    seq = bott_index_sequence(p, args.max_m)
-    if args.format == "csv":
-        _emit_csv("m,ind", list(enumerate(seq, start=1)))
-    else:
-        _emit_structured({"max_m": args.max_m, "ind": seq})
-    return 0
+def _cmd_iterate(args) -> _Answer:
+    seq = bott_index_sequence(_load_profile(args.profile), args.max_m)
+    return _Answer("m,ind", enumerate(seq, start=1), {"max_m": args.max_m, "ind": seq})
 
 
-def _cmd_alpha(args) -> int:
-    p = _load_profile(args.profile)
-    alpha = average_index(p)
-    if args.format == "csv":
-        _emit_csv("field,value", [("alpha", alpha)])
-    else:
-        _emit_structured({"alpha": str(alpha)})
-    return 0
+def _cmd_alpha(args) -> _Answer:
+    alpha = average_index(_load_profile(args.profile))
+    return _Answer("field,value", [("alpha", alpha)], {"alpha": str(alpha)})
 
 
-def _cmd_gamma(args) -> int:
-    p = _load_profile(args.profile)
-    gamma = gamma_invariant(p)
-    if args.format == "csv":
-        _emit_csv("field,value", [("gamma", gamma)])
-    else:
-        _emit_structured({"gamma": str(gamma)})
-    return 0
+def _cmd_gamma(args) -> _Answer:
+    gamma = gamma_invariant(_load_profile(args.profile))
+    return _Answer("field,value", [("gamma", gamma)], {"gamma": str(gamma)})
 
 
-def _cmd_gaps(args) -> int:
-    p = _load_profile(args.profile)
-    a_m, b_m, j_set = gap_decomposition(p, args.m)
+def _cmd_gaps(args) -> _Answer:
+    a_m, b_m, j_set = gap_decomposition(_load_profile(args.profile), args.m)
+    j_m = sorted(j_set)
     gap = a_m + b_m
-    if args.format == "csv":
-        _emit_csv(
-            "field,value",
-            [("m", args.m), ("A_m", a_m), ("B_m", b_m), ("gap", gap),
-             ("J_m", ";".join(str(j) for j in sorted(j_set)))],
-        )
-    else:
-        _emit_structured(
-            {"m": args.m, "A_m": a_m, "B_m": b_m, "J_m": sorted(j_set), "gap": gap}
-        )
-    return 0
+    return _Answer(
+        "field,value",
+        [("m", args.m), ("A_m", a_m), ("B_m", b_m), ("gap", gap),
+         ("J_m", ";".join(map(str, j_m)))],
+        {"m": args.m, "A_m": a_m, "B_m": b_m, "J_m": j_m, "gap": gap},
+    )
 
 
-def _cmd_jumps(args) -> int:
+def _cmd_jumps(args) -> _Answer:
     p = _load_profile(args.profile)
     ks = jump_search(p, args.horizon)
-    if args.format == "csv":
-        _emit_csv("k", [(k,) for k in ks])
-    else:
-        _emit_structured(
-            {"horizon": args.horizon, "jump_size": 2 * p.index_at_one, "k": ks}
-        )
-    return 0
+    return _Answer(
+        "k", zip(ks), {"horizon": args.horizon, "jump_size": 2 * p.index_at_one, "k": ks}
+    )
 
 
-def _cmd_morse(args) -> int:
+def _cmd_morse(args) -> _Answer:
     p = _load_profile(args.profile)
     if p.n < 3:
         raise PrecondViolation(f"Betti numbers need n >= 3, profile has n = {p.n}")
     w = aggregate_w(p, args.max_k)
     b = [betti_number(p.n, k) for k in range(args.max_k + 1)]
     report = morse_q_recursion(w, b)
-    if args.format == "csv":
-        _emit_csv(
-            "k,w_k,b_k,q_k",
-            zip(range(args.max_k + 1), w, b, report.q),
-        )
-    else:
-        _emit_structured(
-            {
-                "max_degree": args.max_k,
-                "w": list(report.w),
-                "b": b,
-                "q": list(report.q),
-                "feasible": report.feasible,
-                "first_violation": report.first_violation,
-            }
-        )
-    return 0
+    return _Answer(
+        "k,w_k,b_k,q_k",
+        zip(range(args.max_k + 1), w, b, report.q),
+        {
+            "max_degree": args.max_k,
+            "w": report.w,
+            "b": b,
+            "q": report.q,
+            "feasible": report.feasible,
+            "first_violation": report.first_violation,
+        },
+    )
 
 
-def _cmd_prop33(args) -> int:
+def _cmd_prop33(args) -> _Answer:
     p = _load_profile(args.profile)
     try:
         report = check_prop33(p, horizon=args.horizon)
     except HypothesesNotMet as exc:
-        payload = {"hypotheses_met": False, "detail": str(exc)}
-        if args.format == "csv":
-            _emit_csv("field,value", [("hypotheses_met", False), ("detail", str(exc))])
-        else:
-            _emit_structured(payload)
-        return 0
-    rows = [
-        ("hypotheses_met", True),
-        ("conclusion_a", report.conclusion_a),
-        ("conclusion_b", report.conclusion_b),
-        ("conclusion_c", report.conclusion_c),
-        ("horizon", report.horizon),
-    ]
-    if args.format == "csv":
-        _emit_csv("field,value", rows)
-    else:
-        _emit_structured(
-            {
-                "hypotheses_met": True,
-                "alpha": str(report.hypotheses["alpha"]),
-                "gamma": str(report.hypotheses["gamma"]),
-                "ind_c": report.hypotheses["ind_c"],
-                "ind_c2": report.hypotheses["ind_c2"],
-                "conclusion_a": report.conclusion_a,
-                "conclusion_b": report.conclusion_b,
-                "conclusion_c": report.conclusion_c,
-                "horizon": report.horizon,
-            }
-        )
-    return 0
+        rows = [("hypotheses_met", False), ("detail", str(exc))]
+        return _Answer("field,value", rows, dict(rows))
+    conclusions = {
+        "conclusion_a": report.conclusion_a,
+        "conclusion_b": report.conclusion_b,
+        "conclusion_c": report.conclusion_c,
+        "horizon": report.horizon,
+    }
+    return _Answer(
+        "field,value",
+        [("hypotheses_met", True), *conclusions.items()],
+        {
+            "hypotheses_met": True,
+            "alpha": str(report.hypotheses["alpha"]),
+            "gamma": str(report.hypotheses["gamma"]),
+            "ind_c": report.hypotheses["ind_c"],
+            "ind_c2": report.hypotheses["ind_c2"],
+            **conclusions,
+        },
+    )
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> _Answer:
     summary = verify_theorem(args.n, args.horizon, args.q)
-    if args.format == "csv":
-        rows = [
-            ("n", summary.n),
-            ("horizon", summary.horizon),
-            ("Q", summary.q),
-            ("candidates", summary.candidates),
-            ("contradicted", summary.contradicted),
-            ("survivors", len(summary.survivors)),
-        ]
-        rows.extend((f"step:{step}", count) for step, count in summary.by_step.items())
-        _emit_csv("field,value", rows)
-    else:
-        _emit_structured(summary.to_dict())
-    if summary.survivors:
-        print(
-            f"verify: {len(summary.survivors)} candidate(s) consistent up to the "
-            "horizon; see the survivors list",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    survivors = len(summary.survivors)
+    rows = [
+        ("n", summary.n),
+        ("horizon", summary.horizon),
+        ("Q", summary.q),
+        ("candidates", summary.candidates),
+        ("contradicted", summary.contradicted),
+        ("survivors", survivors),
+        *((f"step:{step}", count) for step, count in summary.by_step.items()),
+    ]
+    if not survivors:
+        return _Answer("field,value", rows, summary.to_dict())
+    notice = (
+        f"verify: {survivors} candidate(s) consistent up to the horizon; see the survivors list"
+    )
+    return _Answer("field,value", rows, summary.to_dict(), 1, notice)
 
 
 @functools.cache
@@ -300,11 +268,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ProfileFormatError, PrecondViolation, PhaseCollision, ValueError, OSError) as exc:
+        answer = args.func(args)
+        if args.format == "csv":
+            _emit_csv(answer.header, answer.rows)
+        else:
+            _emit_structured(answer.document)
+        if answer.notice:
+            print(answer.notice, file=sys.stderr)
+        return answer.status
+    except (PhaseCollision, ValueError, OSError) as exc:
         print(f"bottiter: {exc}", file=sys.stderr)
         return 2
 

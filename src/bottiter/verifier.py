@@ -525,17 +525,19 @@ def single_geodesic_pipeline(
     window = max(1, math.ceil(4 * alpha))
     w = count_w(bott_index_sequence(p, cutoff_for(n, alpha, window)), gamma, window)
     b = betti_table(n, window).ranks
-    report = morse_q_recursion(w, b)
+    # w = b at every degree makes q vanish, so the step fails exactly on a
+    # mismatch, and the recursion only fills the witness.
     mismatch = next((k for k in range(window + 1) if w[k] != b[k]), None)
-    if mismatch is not None or not report.feasible:
+    if mismatch is not None:
+        report = morse_q_recursion(w, b)
         return ContradictionReport(
             candidate=p,
             failed_step="morse-feasibility",
             witness={
                 "max_degree": window,
                 "first_mismatch_degree": mismatch,
-                "w_at_mismatch": None if mismatch is None else w[mismatch],
-                "b_at_mismatch": None if mismatch is None else b[mismatch],
+                "w_at_mismatch": w[mismatch],
+                "b_at_mismatch": b[mismatch],
                 "q_first_violation": report.first_violation,
                 "q_at_violation": None
                 if report.first_violation is None
@@ -587,18 +589,14 @@ def _placements(
     one), in the order they are tried, as (numerator of each t_j, common
     denominator).
 
-    First the offset grid: consecutive points from _GRID_OFFSET / q, with
-    the last free numerator bumped by 0, 1, 2 and 3.  Then an interior
-    weight solution (the target as a convex combination of the arc values,
-    every weight positive) whose phases are snapped to a grid fine enough
-    to keep them apart, shifted by 0..5 grid steps.
+    First the offset grid: consecutive points from _GRID_OFFSET / q.  Then
+    an interior weight solution (the target as a convex combination of the
+    arc values, every weight positive) whose phases are snapped to a grid
+    fine enough to keep them apart, shifted by 0..5 grid steps.
     """
     l = len(arcs) - 1
     free = [j for j in range(l) if j != r]
-    for bump in range(4):
-        numerators = dict(zip(free, itertools.count(_GRID_OFFSET)))
-        numerators[free[-1]] += bump
-        yield numerators, q
+    yield dict(zip(free, itertools.count(_GRID_OFFSET))), q
 
     a = next(k for k, v in enumerate(arcs) if v < alpha_target)
     b = next(k for k, v in enumerate(arcs) if v > alpha_target)
@@ -661,9 +659,9 @@ def phase_instantiate(
 
     Otherwise the phase t_r of the last nonzero jump is solved exactly from
     the target, for each placement of the other phases in turn: the offset
-    grid from _GRID_OFFSET / q with its last point bumped by 0..3, then a
-    snapped interior weight solution shifted by 0..5.  The first admissible
-    vector is returned; RuntimeError is raised when none is.
+    grid from _GRID_OFFSET / q, then a snapped interior weight solution
+    shifted by 0..5.  The first admissible vector is returned;
+    RuntimeError is raised when none is.
     """
     alpha_target = Fraction(alpha_target)
     threshold = 2 * horizon + 1 if horizon is not None else q - 1

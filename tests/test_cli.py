@@ -171,12 +171,12 @@ def run_in_process(*args):
     return code, out.getvalue(), err.getvalue()
 
 
-def test_structured_output_is_indent2_json(profile_path, tmp_path):
-    # Flat lists go through the C encoder one call each; the bytes must
-    # still be those of json.dumps(payload, indent=2).
+@pytest.fixture
+def cases(profile_path, tmp_path):
+    """Calls that reach every subcommand and the output shapes each has."""
     unmet = tmp_path / "unmet.json"
     unmet.write_text('{ "n": 3, "I": [2], "t": [], "N": [] }')
-    cases = [
+    return [
         ("betti", "--n", "4", "--max-k", "10"),
         ("betti", "--n", "4", "--max-k", "0"),
         ("iterate", "--profile", profile_path, "--max-m", "10"),
@@ -193,6 +193,11 @@ def test_structured_output_is_indent2_json(profile_path, tmp_path):
         ("verify", "--n", "3", "--horizon", "200", "--q", "499"),
         ("verify", "--n", "6", "--horizon", "200", "--q", "601"),
     ]
+
+
+def test_structured_output_is_indent2_json(cases):
+    # Flat lists go through the C encoder one call each; the bytes must
+    # still be those of json.dumps(payload, indent=2).
     payloads = {}
     for args in cases:
         code, out, _ = run_in_process(*args)
@@ -209,6 +214,44 @@ def test_structured_output_is_indent2_json(profile_path, tmp_path):
     assert isinstance(payloads[cases[14]]["by_step"], dict)
     [survivor] = payloads[cases[14]]["survivors"]
     assert validate_profile(profile_from_document(survivor)) == []
+
+
+def test_csv_output_bytes(cases):
+    # Field order (gap before J_m, J_m joined by ";"), the True/False
+    # spellings, the bare header of an empty jumps list, and verify's
+    # step: rows with exit 1 when a candidate survives.
+    steps = ("index-of-prime", "second-iterate", "average-relation", "prop33-hypotheses",
+             "morse-feasibility", "gap-bound", "jump-clash", "phase-infeasible")
+    expected = [
+        (0, "k,b_k\n0,0\n1,0\n2,0\n3,1\n4,0\n5,1\n6,0\n7,1\n8,0\n9,2\n10,0\n"),
+        (0, "k,b_k\n0,0\n"),
+        (0, "m,ind\n1,3\n2,5\n3,7\n4,7\n5,9\n6,11\n7,11\n8,15\n9,17\n10,19\n"),
+        (0, "field,value\nalpha,178/97\n"),
+        (0, "field,value\ngamma,-1\n"),
+        (0, "field,value\nm,3\nA_m,2\nB_m,-2\ngap,0\nJ_m,1\n"),
+        (0, "field,value\nm,1\nA_m,2\nB_m,0\ngap,2\nJ_m,\n"),
+        (0, "k\n4\n7\n10\n19\n24\n26\n29\n34\n37\n"),
+        (0, "k\n"),
+        (0, "k,w_k,b_k,q_k\n0,0,0,0\n1,0,0,0\n2,0,0,0\n3,1,1,0\n4,0,0,0\n5,1,1,0\n"
+            "6,0,0,0\n7,2,1,1\n8,0,0,-1\n"),
+        (0, "k,w_k,b_k,q_k\n0,0,0,0\n1,0,0,0\n2,0,0,0\n"),
+        (0, "field,value\nhypotheses_met,True\nconclusion_a,True\nconclusion_b,True\n"
+            "conclusion_c,True\nhorizon,96\n"),
+        (0, "field,value\nhypotheses_met,False\n"
+            "detail,hypotheses not met: ind(c)=2, ind(c^2)=4, alpha=2, gamma=1\n"),
+        (0, "field,value\nn,3\nhorizon,200\nQ,499\ncandidates,104\ncontradicted,104\n"
+            "survivors,0\n"
+            + "".join(f"step:{step},{count}\n"
+                      for step, count in zip(steps, (54, 2, 16, 0, 0, 0, 0, 32), strict=True))),
+        (1, "field,value\nn,6\nhorizon,200\nQ,601\ncandidates,18444\ncontradicted,18443\n"
+            "survivors,1\n"
+            + "".join(f"step:{step},{count}\n"
+                      for step, count in zip(steps, (13358, 16, 1742, 0, 0, 7, 0, 3320),
+                                             strict=True))),
+    ]
+    for args, want in zip(cases, expected, strict=True):
+        code, out, _ = run_in_process(*args, "--format", "csv")
+        assert (code, out) == want, args
 
 
 @pytest.mark.parametrize(

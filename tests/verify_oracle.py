@@ -9,7 +9,11 @@ Morse step through `aggregate_w` and the jump step through `jump_search`.
 one and runs each through the search on its own: no closed-form counts,
 no sharing between the nullity splits of one arc sequence, and its own
 check_prop33 call beside the pipeline's.  This is the oracle the
-per-arc-sequence search in `bottiter.verifier` is checked against.
+per-arc-sequence search in `bottiter.verifier` is checked against.  It
+takes the average-index relation from its closed form, and it checks every
+profile `phase_instantiate` hands back with its own sum before using it,
+so a wrong relation or a bad instantiation cannot shift it together with
+the code it checks.
 """
 
 from __future__ import annotations
@@ -39,7 +43,30 @@ from bottiter import (
     phase_instantiate,
     validate_profile,
 )
-from bottiter.verifier import STEP_IDS, average_relation_value
+from bottiter.verifier import STEP_IDS
+
+
+def relation_value(n: int) -> Fraction:
+    """alpha/|gamma| required of a single geodesic: (2n-2)/n for even n,
+    (2n-2)/(n+1) for odd n.  Like the Betti numbers, it needs n >= 3."""
+    if n < 3:
+        raise ValueError(f"n = {n} must be >= 3")
+    return Fraction(2 * n - 2, n if n % 2 == 0 else n + 1)
+
+
+def checked_instantiate(s, target: Fraction, q: int, horizon: int):
+    """`phase_instantiate`'s answer, after checking a profile against the
+    target: valid, average index I_{l+1} + 2 sum_j (I_j - I_{j+1}) t_j equal
+    to the target, and every phase denominator above 2H+1."""
+    profile = phase_instantiate(s, target, q, horizon=horizon)
+    if isinstance(profile, PhaseInfeasible):
+        return profile
+    arcs, phases = profile.arc_values, profile.phases
+    assert validate_profile(profile) == [], profile
+    average = arcs[-1] + 2 * sum((arcs[j] - arcs[j + 1]) * t for j, t in enumerate(phases))
+    assert average == target, (profile, target)
+    assert all(t.denominator > 2 * horizon + 1 for t in phases), profile
+    return profile
 
 
 def _safe_prop33_horizon(p: IndexProfile, cap: int) -> int:
@@ -152,7 +179,7 @@ def single_geodesic_pipeline(
                 "alpha": str(alpha),
                 "gamma": str(gamma),
                 "alpha_over_abs_gamma": str(ratio),
-                "required_value": str(average_relation_value(n)),
+                "required_value": str(relation_value(n)),
             },
         )
 
@@ -223,7 +250,7 @@ def single_geodesic_pipeline(
 
 def naive_verify(n: int, horizon: int, q: int) -> VerificationSummary:
     """The summary of `verify_theorem(n, horizon, q)`, one signature at a time."""
-    relation = average_relation_value(n)
+    relation = relation_value(n)
     by_step = {step: 0 for step in STEP_IDS}
     survivors: list = []
     prop33_checked = 0
@@ -238,7 +265,7 @@ def naive_verify(n: int, horizon: int, q: int) -> VerificationSummary:
             continue
         by_step["average-relation"] += 1  # the class certificate
         for magnitude in (Fraction(1), Fraction(1, 2)):
-            profile = phase_instantiate(s, relation * magnitude, q, horizon=horizon)
+            profile = checked_instantiate(s, relation * magnitude, q, horizon)
             if isinstance(profile, PhaseInfeasible):
                 by_step["phase-infeasible"] += 1
                 continue
