@@ -11,8 +11,10 @@ plus a newline.  `_json_indent2` writes them through the C encoder, which
 CPython uses only without `indent`, so a long list costs one C call.  The
 printed columns are built in whole-column passes of C-level operations,
 not one Python step per degree; only `morse`'s b column still asks
-`betti_number` degree by degree (ROADMAP item 5).  The argument parser is
-built once per process, on the first call to `main`.
+`betti_number` degree by degree (ROADMAP item 5).  Every subcommand is
+declared once, as one entry of `_SUBCOMMANDS`, and every subcommand takes
+`--format`.  The argument parser is built from that table once per
+process, on the first call to `main`.
 """
 
 from __future__ import annotations
@@ -195,6 +197,27 @@ def _cmd_verify(args) -> _Answer:
     return _Answer("field,value", rows, summary.to_dict(), 1, notice)
 
 
+# name, help, handler, options as (flag, type, required)
+_SUBCOMMANDS = (
+    ("betti", "Betti numbers of the equivariant loop-space pair", _cmd_betti,
+     (("--n", int, True), ("--max-k", int, True))),
+    ("iterate", "ind(c^m) for m = 1..max-m", _cmd_iterate,
+     (("--profile", str, True), ("--max-m", int, True))),
+    ("alpha", "exact average index", _cmd_alpha, (("--profile", str, True),)),
+    ("gamma", "parity invariant in {+-1, +-1/2}", _cmd_gamma, (("--profile", str, True),)),
+    ("gaps", "endpoint/interior split of one index gap", _cmd_gaps,
+     (("--profile", str, True), ("--m", int, True))),
+    ("jumps", "k with ind(c^{2k+1}) - ind(c^{2k-1}) = 2 ind(c)", _cmd_jumps,
+     (("--profile", str, True), ("--horizon", int, True))),
+    ("morse", "w/b/q table up to max-k", _cmd_morse,
+     (("--profile", str, True), ("--max-k", int, True))),
+    ("prop33", "staircase proposition re-verification", _cmd_prop33,
+     (("--profile", str, True), ("--horizon", int, False))),
+    ("verify", "single-geodesic contradiction search", _cmd_verify,
+     (("--n", int, True), ("--horizon", int, True), ("--q", int, True))),
+)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -202,68 +225,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact index-iteration calculus for closed-geodesic profiles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(sp):
+    for name, help_text, handler, options in _SUBCOMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        for flag, kind, required in options:
+            sp.add_argument(flag, type=kind, required=required)
         sp.add_argument(
             "--format",
             choices=("csv", "structured"),
             default="structured",
             help="output format (default: structured JSON)",
         )
-
-    sp = sub.add_parser("betti", help="Betti numbers of the equivariant loop-space pair")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--max-k", type=int, required=True)
-    add_format(sp)
-    sp.set_defaults(func=_cmd_betti)
-
-    sp = sub.add_parser("iterate", help="ind(c^m) for m = 1..max-m")
-    sp.add_argument("--profile", required=True)
-    sp.add_argument("--max-m", type=int, required=True)
-    add_format(sp)
-    sp.set_defaults(func=_cmd_iterate)
-
-    sp = sub.add_parser("alpha", help="exact average index")
-    sp.add_argument("--profile", required=True)
-    add_format(sp)
-    sp.set_defaults(func=_cmd_alpha)
-
-    sp = sub.add_parser("gamma", help="parity invariant in {+-1, +-1/2}")
-    sp.add_argument("--profile", required=True)
-    add_format(sp)
-    sp.set_defaults(func=_cmd_gamma)
-
-    sp = sub.add_parser("gaps", help="endpoint/interior split of one index gap")
-    sp.add_argument("--profile", required=True)
-    sp.add_argument("--m", type=int, required=True)
-    add_format(sp)
-    sp.set_defaults(func=_cmd_gaps)
-
-    sp = sub.add_parser("jumps", help="k with ind(c^{2k+1}) - ind(c^{2k-1}) = 2 ind(c)")
-    sp.add_argument("--profile", required=True)
-    sp.add_argument("--horizon", type=int, required=True)
-    add_format(sp)
-    sp.set_defaults(func=_cmd_jumps)
-
-    sp = sub.add_parser("morse", help="w/b/q table up to max-k")
-    sp.add_argument("--profile", required=True)
-    sp.add_argument("--max-k", type=int, required=True)
-    add_format(sp)
-    sp.set_defaults(func=_cmd_morse)
-
-    sp = sub.add_parser("prop33", help="staircase proposition re-verification")
-    sp.add_argument("--profile", required=True)
-    sp.add_argument("--horizon", type=int, default=None)
-    add_format(sp)
-    sp.set_defaults(func=_cmd_prop33)
-
-    sp = sub.add_parser("verify", help="single-geodesic contradiction search")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--horizon", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    add_format(sp)
-    sp.set_defaults(func=_cmd_verify)
-
+        sp.set_defaults(func=handler)
     return parser
 
 

@@ -428,12 +428,16 @@ def check_prop33(p: IndexProfile, horizon: int | None = None) -> Prop33Report:
     ind(c^2) = n + 1; (b) arc values descend strictly from n - 1 to 1 and
     finish with I_c(-1) = 2; (c) the index sequence is non-decreasing up
     to the horizon (default: largest collision-free range, capped at 1000).
+    A horizon below 1 raises PrecondViolation before the hypotheses are
+    checked.
     """
     bad = validate_profile(p)
     if bad:
         raise PrecondViolation(f"invalid profile: {bad[0]}")
     if horizon is None:
         horizon = _collision_free_length(p, 1000)
+    elif horizon < 1:
+        raise PrecondViolation(f"horizon = {horizon} must be positive")
     return _staircase_report(
         p, average_index(p), gamma_invariant(p), bott_index(p, 1), bott_index(p, 2), horizon
     )
@@ -660,8 +664,12 @@ def phase_instantiate(
     Otherwise the phase t_r of the last nonzero jump is solved exactly from
     the target, for each placement of the other phases in turn: the offset
     grid from _GRID_OFFSET / q, then a snapped interior weight solution
-    shifted by 0..5.  The first admissible vector is returned;
-    RuntimeError is raised when none is.
+    shifted by 0..5.  Constant arcs leave every phase free; their one
+    candidate is l evenly spread multiples of 1/q.  Every candidate goes
+    through the same admissibility check: the first admissible one is
+    returned, and RuntimeError is raised when none is, so constant arcs
+    raise it at a composite q whose spread multiples reduce to a
+    denominator at or below the threshold.
     """
     alpha_target = Fraction(alpha_target)
     threshold = 2 * horizon + 1 if horizon is not None else q - 1
@@ -675,34 +683,40 @@ def phase_instantiate(
     residual = (alpha_target - arcs[-1]) / 2  # = sum_j diffs[j] * t_j
 
     if all(d == 0 for d in diffs):
-        if alpha_target == arcs[0]:
-            return IndexProfile(s.n, arcs, _spread_phases(l, q), s.nullities)
-        return infeasible(f"average index is forced to I_1 = {arcs[0]}")
+        if alpha_target != arcs[0]:
+            return infeasible(f"average index is forced to I_1 = {arcs[0]}")
+        candidates = [_spread_phases(l, q)]
+    else:
+        lo, hi = min(arcs), max(arcs)
+        if not (lo < alpha_target < hi):
+            return infeasible(
+                f"target {alpha_target} outside the open hull ({lo}, {hi}) of the arc values"
+            )
 
-    lo, hi = min(arcs), max(arcs)
-    if not (lo < alpha_target < hi):
-        return infeasible(
-            f"target {alpha_target} outside the open hull ({lo}, {hi}) of the arc values"
-        )
+        nonzero = [j for j in range(l) if diffs[j] != 0]
+        if len(nonzero) == 1:
+            # alpha = I_{l+1} + 2 d_r t_r, so a target inside the hull puts t_r
+            # in (0, 1/2).  A rational t_r makes e(t_r) a root of unity: some
+            # iterate is degenerate, so no bumpy metric has this profile, at any
+            # horizon.
+            r = nonzero[0]
+            t_r = residual / diffs[r]
+            return infeasible(
+                f"forced phase t_{r + 1} = {t_r} is rational, so e(t_{r + 1}) is a "
+                "root of unity and some iterate is degenerate"
+            )
 
-    nonzero = [j for j in range(l) if diffs[j] != 0]
-    if len(nonzero) == 1:
-        # alpha = I_{l+1} + 2 d_r t_r, so a target inside the hull puts t_r
-        # in (0, 1/2).  A rational t_r makes e(t_r) a root of unity: some
-        # iterate is degenerate, so no bumpy metric has this profile, at any
-        # horizon.
-        r = nonzero[0]
-        t_r = residual / diffs[r]
-        return infeasible(
-            f"forced phase t_{r + 1} = {t_r} is rational, so e(t_{r + 1}) is a "
-            "root of unity and some iterate is degenerate"
-        )
+        r = nonzero[-1]
 
-    r = nonzero[-1]
-    for numerators, grid in _placements(arcs, r, alpha_target, q):
-        fixed_sum = sum(Fraction(diffs[j] * numerators[j], grid) for j in numerators)
-        t_r = (residual - fixed_sum) / diffs[r]
-        phases = [Fraction(numerators[j], grid) if j != r else t_r for j in range(l)]
+        def solved():
+            for numerators, grid in _placements(arcs, r, alpha_target, q):
+                fixed_sum = sum(Fraction(diffs[j] * numerators[j], grid) for j in numerators)
+                t_r = (residual - fixed_sum) / diffs[r]
+                yield [Fraction(numerators[j], grid) if j != r else t_r for j in range(l)]
+
+        candidates = solved()
+
+    for phases in candidates:
         bounds = [0, *phases, HALF]
         if all(x < y for x, y in zip(bounds, bounds[1:])) and all(
             t.denominator > threshold for t in phases

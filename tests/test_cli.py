@@ -137,6 +137,19 @@ def test_verify_short_horizon_exit_2(n, horizon, q):
     assert (code, out, err) == (2, "", f"bottiter: horizon = {horizon} must be >= 3\n")
 
 
+@pytest.mark.parametrize("horizon", ["0", "-3"])
+@pytest.mark.parametrize(
+    "document", [RUNNING, '{ "n": 3, "I": [2], "t": [], "N": [] }'], ids=["met", "unmet"]
+)
+def test_prop33_horizon_must_be_positive(horizon, document, tmp_path):
+    # Refused before the hypotheses are checked, so an out-of-scope
+    # profile is refused too.
+    path = tmp_path / "p.json"
+    path.write_text(document)
+    code, out, err = run_in_process("prop33", "--profile", str(path), "--horizon", horizon)
+    assert (code, out, err) == (2, "", f"bottiter: horizon = {horizon} must be positive\n")
+
+
 def test_unknown_flag_rejected(profile_path):
     result = run_cli("alpha", "--profile", profile_path, "--frobnicate")
     assert result.returncode == 2
@@ -327,3 +340,47 @@ def test_repeated_main_calls_match_fresh_processes(profile_path, tmp_path, monke
         codes.append(code)
     assert codes == [0, 2, 0, 2, 2, 0, 0, 0, 1, 2, 0]
     assert cli._build_parser.cache_info().misses <= max(builds, 1)
+
+
+# The usage lines each subcommand prints at COLUMNS=80, and the options it
+# requires.
+USAGE = {
+    "betti": "usage: bottiter betti [-h] --n N --max-k MAX_K [--format {csv,structured}]\n",
+    "iterate": "usage: bottiter iterate [-h] --profile PROFILE --max-m MAX_M\n"
+               "                        [--format {csv,structured}]\n",
+    "alpha": "usage: bottiter alpha [-h] --profile PROFILE [--format {csv,structured}]\n",
+    "gamma": "usage: bottiter gamma [-h] --profile PROFILE [--format {csv,structured}]\n",
+    "gaps": "usage: bottiter gaps [-h] --profile PROFILE --m M [--format {csv,structured}]\n",
+    "jumps": "usage: bottiter jumps [-h] --profile PROFILE --horizon HORIZON\n"
+             "                      [--format {csv,structured}]\n",
+    "morse": "usage: bottiter morse [-h] --profile PROFILE --max-k MAX_K\n"
+             "                      [--format {csv,structured}]\n",
+    "prop33": "usage: bottiter prop33 [-h] --profile PROFILE [--horizon HORIZON]\n"
+              "                       [--format {csv,structured}]\n",
+    "verify": "usage: bottiter verify [-h] --n N --horizon HORIZON --q Q\n"
+              "                       [--format {csv,structured}]\n",
+}
+REQUIRED = {
+    "betti": "--n, --max-k",
+    "iterate": "--profile, --max-m",
+    "alpha": "--profile",
+    "gamma": "--profile",
+    "gaps": "--profile, --m",
+    "jumps": "--profile, --horizon",
+    "morse": "--profile, --max-k",
+    "prop33": "--profile",
+    "verify": "--n, --horizon, --q",
+}
+
+
+@pytest.mark.parametrize("command", list(USAGE))
+def test_usage_and_missing_options_bytes(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_in_process(command, "--help")
+    assert (code, out.split("\n\n")[0] + "\n", err) == (0, USAGE[command], "")
+    assert run_in_process(command) == (
+        2,
+        "",
+        USAGE[command]
+        + f"bottiter {command}: error: the following arguments are required: {REQUIRED[command]}\n",
+    )

@@ -235,6 +235,28 @@ class TestPhaseInstantiate:
         assert average_index(profile) == 3
         assert validate_profile(profile) == []
 
+    @pytest.mark.parametrize(
+        "arcs,q,horizon",
+        [((2, 2, 2), 35, None), ((2, 2, 2), 35, 10), ((3, 3, 3, 3), 45, None)],
+    )
+    def test_flat_spread_at_composite_q(self, arcs, q, horizon):
+        # The evenly spread multiples of 1/q reduce (5/35 = 1/7, 15/45 = 1/3);
+        # the outcome is admissible or refused, never a low denominator.
+        s = Signature(len(arcs), arcs, (1,) * (len(arcs) - 1))
+        threshold = q - 1 if horizon is None else 2 * horizon + 1
+        try:
+            profile = phase_instantiate(s, Fraction(arcs[0]), q, horizon=horizon)
+        except RuntimeError:
+            return
+        assert validate_profile(profile) == []
+        assert all(t.denominator > threshold for t in profile.phases)
+
+    def test_flat_spread_at_prime_q(self):
+        s = Signature(4, (3, 3, 3, 3), (1, 1, 1))
+        for horizon in (None, 20):
+            profile = phase_instantiate(s, Fraction(3), 47, horizon=horizon)
+            assert profile.phases == (Fraction(5, 47), Fraction(10, 47), Fraction(15, 47))
+
     def test_forced_single_phase_unsafe_denominator(self):
         # The relation forces t_1 = 1/4, a rational phase: infeasible at
         # every horizon, not only where 4 <= 2*horizon + 1.

@@ -13,7 +13,8 @@ per-arc-sequence search in `bottiter.verifier` is checked against.  It
 takes the average-index relation from its closed form, and it checks every
 profile `phase_instantiate` hands back with its own sum before using it,
 so a wrong relation or a bad instantiation cannot shift it together with
-the code it checks.
+the code it checks.  Its `check_prop33` refuses a horizon below 1 up front,
+as the library does.
 """
 
 from __future__ import annotations
@@ -79,6 +80,8 @@ def check_prop33(p: IndexProfile, horizon: int | None = None) -> Prop33Report:
     bad = validate_profile(p)
     if bad:
         raise PrecondViolation(f"invalid profile: {bad[0]}")
+    if horizon is not None and horizon < 1:
+        raise PrecondViolation(f"horizon = {horizon} must be positive")
     n = p.n
     ind1 = bott_index(p, 1)
     ind2 = bott_index(p, 2)
