@@ -13,8 +13,10 @@ printed columns are built in whole-column passes of C-level operations,
 not one Python step per degree; only `morse`'s b column still asks
 `betti_number` degree by degree (ROADMAP item 5).  Every subcommand is
 declared once, as one entry of `_SUBCOMMANDS`, and every subcommand takes
-`--format`.  The argument parser is built from that table once per
-process, on the first call to `main`.
+`--format`.  `main` reads a plain argv, `name --flag value ...` with each
+flag exact, once, and each value valid, straight from that table;
+argparse handles help, errors and every other spelling, with a parser
+built from the same table at most once per process.
 """
 
 from __future__ import annotations
@@ -218,6 +220,57 @@ _SUBCOMMANDS = (
 )
 
 
+_FORMATS = ("csv", "structured")
+
+
+def _format_choice(value: str) -> str:
+    if value not in _FORMATS:
+        raise ValueError(f"invalid format {value!r}")
+    return value
+
+
+def _plain_entry(handler, options):
+    """(handler, {flag: (dest, type)}, required flags, argparse's defaults)."""
+    flags = {flag: (flag[2:].replace("-", "_"), kind) for flag, kind, _ in options}
+    required = {flag for flag, _, needed in options if needed}
+    defaults = {dest: None for dest, _ in flags.values()}
+    flags["--format"] = ("format", _format_choice)
+    return handler, flags, required, {**defaults, "format": "structured"}
+
+
+_PLAIN = {name: _plain_entry(handler, options) for name, _, handler, options in _SUBCOMMANDS}
+
+
+def _plain_args(argv: list) -> argparse.Namespace | None:
+    """The Namespace `_build_parser().parse_args(argv)` returns, for an argv
+    in plain form; None for any other argv.
+
+    Plain is `[name, flag, value, ...]`: each flag exactly one of the
+    subcommand's or `--format`, at most once, every required flag present,
+    and each value a string not starting with "-" that converts with the
+    flag's type.  Help, every error, abbreviations, `--flag=value`,
+    negative values and repeated flags are left to argparse.
+    """
+    entry = _PLAIN.get(argv[0]) if len(argv) % 2 else None
+    if entry is None:
+        return None
+    handler, options, required, defaults = entry
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if len(given) != len(argv) // 2 or not required <= given.keys():
+        return None
+    fields = dict(defaults)
+    for flag, value in given.items():
+        option = options.get(flag)
+        if option is None or not isinstance(value, str) or value.startswith("-"):
+            return None
+        dest, kind = option
+        try:
+            fields[dest] = kind(value)
+        except ValueError:
+            return None
+    return argparse.Namespace(command=argv[0], **fields, func=handler)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -231,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument(flag, type=kind, required=required)
         sp.add_argument(
             "--format",
-            choices=("csv", "structured"),
+            choices=_FORMATS,
             default="structured",
             help="output format (default: structured JSON)",
         )
@@ -240,7 +293,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv) or _build_parser().parse_args(argv)
     try:
         answer = args.func(args)
         if args.format == "csv":

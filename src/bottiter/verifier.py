@@ -15,6 +15,14 @@ one prime geodesic c.  Then the profile of c must satisfy, in order,
   6. no index jump of size 2*ind(c) = 2n - 2 >= 6 (n >= 4), although the
      common-index-jump theorem guarantees one eventually.
 
+Step 5 is the weak Morse inequality w_k >= b_k.  b_k > 0 at every degree
+k >= n - 1 with k = n - 1 (mod 2) (`homology`).  In a non-decreasing
+sequence, which every staircase is (below), ind(c^m) >= ind(c) = n - 1, and
+only c^{m+1} can have its index strictly between ind(c^m) and
+ind(c^{m+2}).  A gap of 5 or more puts the four degrees ind(c^m) + 1..4 in
+that range; two of them have the parity of n - 1, and one iterate fills
+one degree, so the other has w_k = 0 < b_k.
+
 `verify_theorem` accounts for every phase-free candidate skeleton, and
 walks only those that can survive step 3.  Skeletons with the wrong prime
 index are counted in closed form.  So are those whose arc values all stay
@@ -664,12 +672,13 @@ def phase_instantiate(
     Otherwise the phase t_r of the last nonzero jump is solved exactly from
     the target, for each placement of the other phases in turn: the offset
     grid from _GRID_OFFSET / q, then a snapped interior weight solution
-    shifted by 0..5.  Constant arcs leave every phase free; their one
-    candidate is l evenly spread multiples of 1/q.  Every candidate goes
-    through the same admissibility check: the first admissible one is
-    returned, and RuntimeError is raised when none is, so constant arcs
-    raise it at a composite q whose spread multiples reduce to a
-    denominator at or below the threshold.
+    shifted by 0..5.  Constant arcs leave every phase free; their
+    candidates are l evenly spread multiples of 1/q, then, when there are
+    l of them, the first l fractions j/q with j < q/2 whose reduced
+    denominator exceeds the threshold.  Every candidate goes through the
+    same admissibility check: the first admissible one is returned, and
+    RuntimeError is raised when none is, so constant arcs raise it only
+    when fewer than l such j/q exist.
     """
     alpha_target = Fraction(alpha_target)
     threshold = 2 * horizon + 1 if horizon is not None else q - 1
@@ -685,7 +694,10 @@ def phase_instantiate(
     if all(d == 0 for d in diffs):
         if alpha_target != arcs[0]:
             return infeasible(f"average index is forced to I_1 = {arcs[0]}")
-        candidates = [_spread_phases(l, q)]
+        low = tuple(itertools.islice(
+            (Fraction(j, q) for j in range(1, (q + 1) // 2) if q // math.gcd(j, q) > threshold), l
+        ))
+        candidates = [_spread_phases(l, q)] + ([low] if len(low) == l else [])
     else:
         lo, hi = min(arcs), max(arcs)
         if not (lo < alpha_target < hi):
@@ -725,8 +737,8 @@ def phase_instantiate(
             assert average_index(profile) == alpha_target
             return profile
     raise RuntimeError(
-        f"target {alpha_target} lies inside the hull but no instantiation "
-        "was constructed; not an infeasibility certificate"
+        f"no admissible phases were constructed for target {alpha_target}; "
+        "not an infeasibility certificate"
     )
 
 

@@ -10,6 +10,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bottiter
 from bottiter import cli, profile_from_document, validate_profile
@@ -384,3 +385,68 @@ def test_usage_and_missing_options_bytes(command, monkeypatch):
         USAGE[command]
         + f"bottiter {command}: error: the following arguments are required: {REQUIRED[command]}\n",
     )
+
+
+# Tokens for argv the plain reader must either read as argparse does or
+# leave to argparse: exact, abbreviated and `--flag=value` flags, and values
+# that int() accepts in odd spellings, negative numbers and option-like text.
+_NAMES = [name for name, *_ in cli._SUBCOMMANDS] + ["bogus", "--help", ""]
+_FLAGS = sorted({flag for *_, options in cli._SUBCOMMANDS for flag, _, _ in options}
+                | {"--format", "-h", "--help"})
+_FLAGS += ["--max", "--prof", "--hor", "--form", "--n=3", "--profile=x", "--format=csv"]
+_VALUES = ["3", "-3", " 5", "\u0663", "1_000", "x", "", "csv", "bogus", "--", "-x"]
+_READABLE = {int: ["3", " 5", "\u0663", "1_000"], str: ["x", "", "csv"]}
+
+
+@st.composite
+def _near_plain_argv(draw):
+    """A subcommand's own flags in any order, each kept with odds 3:1, maybe
+    one more flag; each value readable for its flag with odds 3:1, else
+    drawn from every value."""
+    odds = st.integers(0, 3)
+    name, _, _, options = draw(st.sampled_from(cli._SUBCOMMANDS))
+    readable = {flag: _READABLE[kind] for flag, kind, _ in options}
+    readable["--format"] = ["csv", "structured"]
+    flags = [flag for flag in draw(st.permutations(list(readable))) if draw(odds)]
+    if not draw(odds):
+        flags.append(draw(st.sampled_from(_FLAGS)))
+    argv = [name if draw(odds) else draw(st.sampled_from(_NAMES))]
+    for flag in flags:
+        values = readable.get(flag, _VALUES) if draw(odds) else _VALUES
+        argv += [flag, draw(st.sampled_from(values))]
+    return argv
+
+
+_ARGV = _near_plain_argv() | st.lists(st.sampled_from(_NAMES + _FLAGS + _VALUES), max_size=7)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_ARGV)
+def test_plain_reader_declines_or_agrees_with_argparse(argv):
+    plain = cli._plain_args(argv)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            parsed = cli._build_parser().parse_args(argv)
+        except SystemExit:
+            parsed = None
+    assert plain is None or plain == parsed
+    if plain is not None:
+        assert list(vars(plain)) == list(vars(parsed))
+
+
+def test_plain_calls_never_build_the_parser(cases, profile_path, monkeypatch):
+    # Every call reaching a subcommand, and each argv shape profile-queries
+    # sends (prop33 with and without --horizon), answers without argparse
+    # with the bytes argparse's path gives.
+    calls = [*cases, ("prop33", "--profile", profile_path, "--horizon", "40")]
+    calls += [(*args, "--format", "csv") for args in calls]
+
+    def no_parser():
+        raise AssertionError("argparse parser built for a plain argv")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_plain_args", lambda argv: None)
+        expected = [run_in_process(*args) for args in calls]
+    monkeypatch.setattr(cli, "_build_parser", no_parser)
+    for args, want in zip(calls, expected, strict=True):
+        assert run_in_process(*args) == want, args

@@ -30,6 +30,7 @@ from bottiter import (
     extremal_profile,
     gamma_invariant,
     phase_instantiate,
+    poincare_coefficients,
     profile_from_document,
     single_geodesic_pipeline,
     validate_profile,
@@ -237,19 +238,23 @@ class TestPhaseInstantiate:
 
     @pytest.mark.parametrize(
         "arcs,q,horizon",
-        [((2, 2, 2), 35, None), ((2, 2, 2), 35, 10), ((3, 3, 3, 3), 45, None)],
+        [((2, 2, 2), 35, None), ((2, 2, 2), 35, 10), ((3, 3, 3, 3), 45, None),
+         ((2, 2, 2), 6, None)],
     )
     def test_flat_spread_at_composite_q(self, arcs, q, horizon):
-        # The evenly spread multiples of 1/q reduce (5/35 = 1/7, 15/45 = 1/3);
-        # the outcome is admissible or refused, never a low denominator.
+        # The evenly spread multiples of 1/q reduce (5/35 = 1/7, 15/45 = 1/3),
+        # so the first multiples j/q < 1/2 that keep the denominator q are
+        # used.  At q = 6 only 1/6 does, and two phases are needed.
+        numerators = {35: (1, 2), 45: (1, 2, 4), 6: None}[q]
         s = Signature(len(arcs), arcs, (1,) * (len(arcs) - 1))
-        threshold = q - 1 if horizon is None else 2 * horizon + 1
-        try:
-            profile = phase_instantiate(s, Fraction(arcs[0]), q, horizon=horizon)
-        except RuntimeError:
+        if numerators is None:
+            with pytest.raises(RuntimeError, match="no admissible phases") as refused:
+                phase_instantiate(s, Fraction(arcs[0]), q, horizon=horizon)
+            assert "hull" not in str(refused.value)
             return
+        profile = phase_instantiate(s, Fraction(arcs[0]), q, horizon=horizon)
+        assert profile.phases == tuple(Fraction(j, q) for j in numerators)
         assert validate_profile(profile) == []
-        assert all(t.denominator > threshold for t in profile.phases)
 
     def test_flat_spread_at_prime_q(self):
         s = Signature(4, (3, 3, 3, 3), (1, 1, 1))
@@ -327,6 +332,17 @@ def test_average_relation_is_inverse_average_euler_number():
         value = average_relation_value(n)
         assert value == 1 / abs(average_euler_number(n))
         assert value == (Fraction(2 * n - 2, n) if n % 2 == 0 else Fraction(2 * n - 2, n + 1))
+
+
+def test_gap_bound_degrees_have_positive_betti_numbers():
+    # The gap bound (step 5) rests on b_k > 0 at every k >= n - 1 with
+    # k = n - 1 (mod 2): a monotone gap of 5 or more leaves two such degrees
+    # that only one iterate could fill.  Checked over several periods of
+    # the doubled degrees.
+    for n in range(3, 61):
+        max_degree = 8 * (n - 1)
+        ranks = poincare_coefficients(n, max_degree).ranks
+        assert all(ranks[k] > 0 for k in range(n - 1, max_degree + 1, 2)), n
 
 
 class TestPipeline:
@@ -509,19 +525,24 @@ def _recheck_witness(report, n: int, horizon: int) -> None:
 
 class TestVerifyTheorem:
     def test_n3_histogram_regression(self):
-        summary = verify_theorem(3, 200, 499)
-        assert summary.survivors == []
-        assert summary.candidates == summary.contradicted == 104
-        assert summary.by_step == {
-            "index-of-prime": 54,
-            "second-iterate": 2,
-            "average-relation": 16,
-            "prop33-hypotheses": 0,
-            "morse-feasibility": 0,
-            "gap-bound": 0,
-            "jump-clash": 0,
-            "phase-infeasible": 32,
-        }
+        # No n = 3 candidate passes the relation, so the tallies, and the
+        # verdict, do not depend on the horizon or on Q.
+        for horizon, q in [(3, 13), (5, 17), (10, 23), (200, 461), (200, 499), (200, 601),
+                           (200, 1009), (10000, 20011), (10000, 32083)]:
+            summary = verify_theorem(3, horizon, q)
+            assert summary.survivors == [], (horizon, q)
+            assert summary.candidates == summary.contradicted == 104, (horizon, q)
+            assert summary.prop33_checked == 0, (horizon, q)
+            assert summary.by_step == {
+                "index-of-prime": 54,
+                "second-iterate": 2,
+                "average-relation": 16,
+                "prop33-hypotheses": 0,
+                "morse-feasibility": 0,
+                "gap-bound": 0,
+                "jump-clash": 0,
+                "phase-infeasible": 32,
+            }, (horizon, q)
 
     def test_jump_clash_fixture(self):
         # The n = 4 profile that verify_theorem(4, 200, 499) kills at
