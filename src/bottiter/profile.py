@@ -97,6 +97,42 @@ class IndexProfile:
         return json.dumps(doc)
 
 
+def phases_in_order(phases: Sequence[Fraction]) -> bool:
+    """The phase-order rule 0 < t_1 < ... < t_l < 1/2."""
+    bounds = (0, *phases, HALF)
+    return all(a < b for a, b in zip(bounds, bounds[1:]))
+
+
+def phase_order_violations(phases: Sequence[Fraction]) -> list[str]:
+    """How the phases break `phases_in_order`: each outside (0, 1/2), then each pair."""
+    if phases_in_order(phases):
+        return []
+    violations = [
+        f"phase t_{j + 1} = {t} outside the open interval (0, 1/2)"
+        for j, t in enumerate(phases)
+        if not 0 < t < HALF
+    ]
+    return violations + [
+        f"phases not strictly increasing at t_{j}={a}, t_{j + 1}={b}"
+        for j, (a, b) in enumerate(zip(phases, phases[1:]), start=1)
+        if b <= a
+    ]
+
+
+def nullity_violations(n: int, arcs: Sequence[int], nulls: Sequence[int]) -> list[str]:
+    """The nullity rules N_j >= 1, l <= n - 1, sum_j N_j <= n - 1, |I_j - I_{j+1}| <= N_j."""
+    violations = [f"nullity N_{j + 1} = {nv} is not positive" for j, nv in enumerate(nulls) if nv < 1]
+    if len(nulls) > n - 1:
+        violations.append(f"l = {len(nulls)} exceeds n - 1 = {n - 1}")
+    if sum(nulls) > n - 1:
+        violations.append(f"sum of nullities {sum(nulls)} exceeds n - 1 = {n - 1}")
+    for j, nv in enumerate(nulls):
+        jump = abs(arcs[j] - arcs[j + 1])
+        if jump > nv:
+            violations.append(f"|I_{j + 1} - I_{j + 2}| = {jump} exceeds N_{j + 1} = {nv}")
+    return violations
+
+
 def validate_profile(p: IndexProfile) -> list[str]:
     """Check every structural invariant; return the violations (empty = valid).
 
@@ -120,27 +156,7 @@ def validate_profile(p: IndexProfile) -> list[str]:
     for j, v in enumerate(arcs):
         if v < 0:
             violations.append(f"arc value I_{j + 1} = {v} is negative")
-    for j, t in enumerate(phases):
-        if not (0 < t < HALF):
-            violations.append(f"phase t_{j + 1} = {t} outside the open interval (0, 1/2)")
-    for j in range(1, l):
-        if phases[j] <= phases[j - 1]:
-            violations.append(
-                f"phases not strictly increasing at t_{j}={phases[j - 1]}, t_{j + 1}={phases[j]}"
-            )
-    for j, nv in enumerate(nulls):
-        if nv < 1:
-            violations.append(f"nullity N_{j + 1} = {nv} is not positive")
-    if l > p.n - 1:
-        violations.append(f"l = {l} exceeds n - 1 = {p.n - 1}")
-    if sum(nulls) > p.n - 1:
-        violations.append(f"sum of nullities {sum(nulls)} exceeds n - 1 = {p.n - 1}")
-    for j in range(l):
-        jump = abs(arcs[j] - arcs[j + 1])
-        if jump > nulls[j]:
-            violations.append(
-                f"|I_{j + 1} - I_{j + 2}| = {jump} exceeds N_{j + 1} = {nulls[j]}"
-            )
+    violations += phase_order_violations(phases) + nullity_violations(p.n, arcs, nulls)
     if p.splitting_pairs is not None:
         if len(p.splitting_pairs) != l:
             violations.append(

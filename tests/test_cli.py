@@ -138,6 +138,23 @@ def test_verify_short_horizon_exit_2(n, horizon, q):
     assert (code, out, err) == (2, "", f"bottiter: horizon = {horizon} must be >= 3\n")
 
 
+@pytest.mark.parametrize("fmt", [(), ("--format", "csv")], ids=["structured", "csv"])
+def test_morse_needs_n_at_least_3(fmt, tmp_path):
+    path = tmp_path / "p2.json"
+    path.write_text('{ "n": 2, "I": [1, 2], "t": ["1/5"], "N": [1] }')
+    code, out, err = run_in_process("morse", "--profile", str(path), "--max-k", "4", *fmt)
+    assert (code, out, err) == (
+        2, "", "bottiter: Betti numbers need n >= 3, profile has n = 2\n"
+    )
+
+
+def test_invalid_profile_reports_its_first_violation(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{ "n": 3, "I": [-1, 0, 0], "t": ["1/5", "1/2"], "N": [0, 1] }')
+    code, out, err = run_in_process("alpha", "--profile", str(path))
+    assert (code, out, err) == (2, "", "bottiter: arc value I_1 = -1 is negative\n")
+
+
 @pytest.mark.parametrize("horizon", ["0", "-3"])
 @pytest.mark.parametrize(
     "document", [RUNNING, '{ "n": 3, "I": [2], "t": [], "N": [] }'], ids=["met", "unmet"]

@@ -19,6 +19,7 @@ from bottiter import (
     jump_search,
 )
 from bottiter import _purekernel
+from bottiter.iteration import check_sequence_range
 from bottiter.reference import naive_gap_decomposition, naive_index
 
 from conftest import make_random_profile
@@ -54,6 +55,14 @@ class TestIterate:
         with pytest.raises(PhaseCollision) as info:
             bott_index_sequence(running_profile, 120)
         assert info.value.m == 97
+
+    def test_report_collision_names_m(self, running_profile):
+        with pytest.raises(PhaseCollision) as info:
+            iterate_index(running_profile, 97)
+        assert (info.value.point, info.value.phase_index, info.value.m) == (Fraction(10, 97), 0, 97)
+        assert str(info.value) == (
+            "evaluation point 10/97 collides with phase t_1 while summing over 97-th roots of unity"
+        )
 
     def test_report_consistency(self, running_profile):
         report = iterate_index(running_profile, 5)
@@ -198,6 +207,25 @@ class TestJumpSearch:
         p = IndexProfile(3, (0,))
         with pytest.raises(PrecondViolation, match="positive average index"):
             jump_search(p, 10)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda p: bott_index(p, 0), "m = 0 must be positive"),
+        (lambda p: bott_index_sequence(p, -1), "m_max = -1 must be positive"),
+        (lambda p: check_sequence_range(p, 0), "m_max = 0 must be positive"),
+        (lambda p: iterate_index(p, -3), "m = -3 must be positive"),
+        (lambda p: gap_decomposition(p, 0), "m = 0 must be positive"),
+        (lambda p: jump_search(p, 0), "horizon = 0 must be positive"),
+    ],
+    ids=["bott_index", "bott_index_sequence", "check_sequence_range", "iterate_index",
+         "gap_decomposition", "jump_search"],
+)
+def test_size_guards(running_profile, call, message):
+    with pytest.raises(PrecondViolation) as info:
+        call(running_profile)
+    assert str(info.value) == message
 
 
 def _kernel_sequence_vs_per_m(arcs: list[int], phases: list[Fraction], m_max: int):

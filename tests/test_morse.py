@@ -40,8 +40,18 @@ class TestCriticalGroupDim:
         p = IndexProfile(4, (2, 3), ("10/97",), (1,))
         assert critical_group_dim(p, 2, bott_index(p, 2)) == 1
 
+    def test_negative_degree_refused(self, running_profile):
+        with pytest.raises(PrecondViolation) as info:
+            critical_group_dim(running_profile, 1, -1)
+        assert str(info.value) == "k = -1 must be >= 0"
+
 
 class TestAggregateW:
+    def test_negative_max_degree_refused(self, running_profile):
+        with pytest.raises(PrecondViolation) as info:
+            aggregate_w(running_profile, -2)
+        assert str(info.value) == "max_degree = -2 must be >= 0"
+
     def test_running_profile_window_7(self, running_profile):
         w = aggregate_w(running_profile, 7)
         assert w == [0, 0, 0, 1, 0, 1, 0, 2]

@@ -33,20 +33,76 @@ class TestValidate:
 
     def test_jump_exceeding_nullity(self):
         p = IndexProfile(3, (2, 0, 2), ("1/5", "2/5"), (1, 1))
-        violations = validate_profile(p)
-        assert any("exceeds N_1" in v for v in violations)
+        assert validate_profile(p) == [
+            "|I_1 - I_2| = 2 exceeds N_1 = 1", "|I_2 - I_3| = 2 exceeds N_2 = 1"
+        ]
 
     def test_nullity_budget(self):
         p = IndexProfile(3, (2, 2, 2), ("1/5", "2/5"), (2, 2))
-        assert any("exceeds n - 1" in v for v in validate_profile(p))
+        assert validate_profile(p) == ["sum of nullities 4 exceeds n - 1 = 2"]
 
     def test_phase_ordering(self):
         p = IndexProfile(3, (2, 2, 2), ("2/5", "1/5"), (1, 1))
-        assert any("strictly increasing" in v for v in validate_profile(p))
+        assert validate_profile(p) == ["phases not strictly increasing at t_1=2/5, t_2=1/5"]
 
     def test_too_many_phases(self):
         p = IndexProfile(3, (1, 1, 1, 1), ("1/7", "2/7", "3/7"), (1, 1, 1))
-        assert any("l = 3 exceeds" in v for v in validate_profile(p))
+        assert validate_profile(p) == [
+            "l = 3 exceeds n - 1 = 2", "sum of nullities 3 exceeds n - 1 = 2"
+        ]
+
+    @pytest.mark.parametrize(
+        "profile, violations",
+        [
+            (IndexProfile(1, (0,)), ["dimension n = 1 < 2"]),
+            (IndexProfile(3, ()), ["empty arc_values"]),
+            (IndexProfile(1, ()), ["dimension n = 1 < 2", "empty arc_values"]),
+            (
+                IndexProfile(3, (2, 1), (), ()),
+                ["length mismatch: 2 arc values, 0 phases, 0 nullities (need l+1 / l / l)"],
+            ),
+            (
+                IndexProfile(3, (2, 1), ("1/5",), ()),
+                ["length mismatch: 2 arc values, 1 phases, 0 nullities (need l+1 / l / l)"],
+            ),
+            (IndexProfile(3, (-1,)), ["arc value I_1 = -1 is negative"]),
+            (
+                IndexProfile(3, (2, 2), ("1/2",), (1,)),
+                ["phase t_1 = 1/2 outside the open interval (0, 1/2)"],
+            ),
+            (
+                IndexProfile(3, (2, 2, 2), ("0", "1/5"), (1, 1)),
+                ["phase t_1 = 0 outside the open interval (0, 1/2)"],
+            ),
+            (IndexProfile(3, (2, 2), ("1/5",), (0,)), ["nullity N_1 = 0 is not positive"]),
+            (
+                IndexProfile(4, (3, 2), ("1/5",), (1,), splitting_pairs=()),
+                ["0 splitting pairs for 1 phases"],
+            ),
+            (
+                IndexProfile(4, (3, 2), ("1/5",), (1,), splitting_pairs=((2, 3),)),
+                ["splitting pair (S+_1, S-_1) = (2, 3) outside [0, N_1 = 1]"],
+            ),
+        ],
+        ids=[
+            "n", "empty", "n-and-empty", "lengths", "nullity-length", "negative-arc",
+            "phase-at-half", "phase-at-zero", "nullity", "pair-count", "pair-range",
+        ],
+    )
+    def test_each_violation_message(self, profile, violations):
+        assert validate_profile(profile) == violations
+
+    def test_violations_in_rule_order(self):
+        # Arc signs, the phase range and then order, the nullities, then
+        # the jumps; the CLI reports the first.
+        p = IndexProfile(3, (-1, 0, 0), ("1/2", "1/5"), (0, 1))
+        assert validate_profile(p) == [
+            "arc value I_1 = -1 is negative",
+            "phase t_1 = 1/2 outside the open interval (0, 1/2)",
+            "phases not strictly increasing at t_1=1/2, t_2=1/5",
+            "nullity N_1 = 0 is not positive",
+            "|I_1 - I_2| = 1 exceeds N_1 = 0",
+        ]
 
     def test_splitting_pairs_checked(self, running_profile):
         good = IndexProfile(4, (3, 2, 1, 2), running_profile.phases, (1, 1, 1),
@@ -54,7 +110,12 @@ class TestValidate:
         assert validate_profile(good) == []
         bad = IndexProfile(4, (3, 2, 1, 2), running_profile.phases, (1, 1, 1),
                            splitting_pairs=((1, 0), (0, 1), (1, 0)))
-        assert any("S-_1 - S+_1" in v for v in validate_profile(bad))
+        assert validate_profile(bad) == ["S-_1 - S+_1 = -1 does not equal I_1 - I_2 = 1"]
+
+
+def test_inexact_phase_refused():
+    with pytest.raises(TypeError, match=r"^cannot interpret 0\.1 as an exact rational$"):
+        IndexProfile(3, (2, 2), (0.1,), (1,))
 
 
 class TestEvaluate:
@@ -138,6 +199,33 @@ class TestDocuments:
         parsed = profile_from_document(self.RUNNING)
         assert parsed == running_profile
         assert profile_from_document(parsed.to_document()) == parsed
+
+    def test_splitting_pairs_round_trip(self, running_profile):
+        p = IndexProfile(4, (3, 2, 1, 2), running_profile.phases, (1, 1, 1),
+                         splitting_pairs=((0, 1), (0, 1), (1, 0)))
+        document = p.to_document()
+        assert document == (
+            '{"n": 4, "I": [3, 2, 1, 2], "t": ["10/97", "13/97", "31/97"], '
+            '"N": [1, 1, 1], "S": [[0, 1], [0, 1], [1, 0]]}'
+        )
+        assert profile_from_document(document) == p
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('{ "n": 3, ', r"^not a valid profile document: Expecting property name"),
+            ("[1, 2]", r"^profile document must be a single object$"),
+            ('{ "n": 3, "I": [2], "t": "1/5", "N": [] }', r"^t must be a list of rational strings$"),
+            (
+                '{ "n": 3, "I": [2, 1], "t": ["1/5"], "N": [1, 1] }',
+                r"^nullity/phase length mismatch: 2 nullities for 1 phases$",
+            ),
+        ],
+        ids=["json", "not-object", "t-not-list", "nullity-length"],
+    )
+    def test_document_shape_errors(self, doc, message):
+        with pytest.raises(ProfileFormatError, match=message):
+            profile_from_document(doc)
 
     def test_phase_order_diagnostic(self):
         doc = '{ "n": 4, "I": [3,2,1,2], "t": ["13/97","10/97","31/97"], "N": [1,1,1] }'

@@ -69,8 +69,24 @@ class TestExtremalProfile:
         assert p.nullities == (1, 1)
 
     def test_rejects_unordered_phases(self):
-        with pytest.raises(PrecondViolation):
+        with pytest.raises(PrecondViolation) as info:
             extremal_profile(3, ("31/97", "10/97"))
+        assert str(info.value) == "phases not strictly increasing at t_1=31/97, t_2=10/97"
+
+    def test_rejects_low_dimension(self):
+        with pytest.raises(PrecondViolation) as info:
+            extremal_profile(2, ("1/5",))
+        assert str(info.value) == "n = 2 must be >= 3"
+
+    def test_raises_the_first_phase_rule_violation(self):
+        # The range of every phase is checked before their order.
+        for phases, message in (
+            (("10/97", "1/2"), "phase t_2 = 1/2 outside the open interval (0, 1/2)"),
+            (("31/97", "10/97", "0"), "phase t_3 = 0 outside the open interval (0, 1/2)"),
+        ):
+            with pytest.raises(PrecondViolation) as info:
+                extremal_profile(len(phases) + 1, phases)
+            assert str(info.value) == message
 
     def test_rejects_wrong_length(self):
         with pytest.raises(PrecondViolation):
@@ -142,6 +158,31 @@ class TestEnumerateSignatures:
             for s in enumerate_signatures(n):
                 assert validate_signature(s) == []
 
+    @pytest.mark.parametrize(
+        "signature, violations",
+        [
+            (Signature(3, (), ()), ["empty arc_values"]),
+            (Signature(3, (2, 1), ()), ["0 nullities for 2 arc values"]),
+            (Signature(3, (-1,), ()), ["arc value I_1 = -1 outside 0..2(n - 1) = 0..4"]),
+            (Signature(3, (4, 5), (1,)), ["arc value I_2 = 5 outside 0..2(n - 1) = 0..4"]),
+            (Signature(3, (2, 2), (0,)), ["nullity N_1 = 0 is not positive"]),
+            (
+                Signature(3, (1, 1, 1, 1), (1, 1, 1)),
+                ["l = 3 exceeds n - 1 = 2", "sum of nullities 3 exceeds n - 1 = 2"],
+            ),
+            (Signature(3, (2, 2), (3,)), ["sum of nullities 3 exceeds n - 1 = 2"]),
+            (Signature(3, (2, 0), (1,)), ["|I_1 - I_2| = 2 exceeds N_1 = 1"]),
+            (
+                Signature(3, (-1, 2), (2,)),
+                ["arc value I_1 = -1 outside 0..2(n - 1) = 0..4", "|I_1 - I_2| = 3 exceeds N_1 = 2"],
+            ),
+        ],
+        ids=["empty", "nullity-count", "negative-arc", "arc-above-bound", "nullity", "l",
+             "nullity-sum", "jump", "arc-then-jump"],
+    )
+    def test_each_violation_message(self, signature, violations):
+        assert validate_signature(signature) == violations
+
     def test_deterministic_and_duplicate_free(self):
         first = list(enumerate_signatures(4))
         second = list(enumerate_signatures(4))
@@ -201,9 +242,13 @@ class TestEnumerateSignatures:
 
 
 class TestPhaseInstantiate:
+    # A test with no scale of its own passes horizon (q - 2) // 2, written
+    # None in a parametrized case: the largest with 2*horizon + 1 < q, so
+    # the threshold nearest to q - 1.
+
     def test_extremal_target_hit_exactly(self):
         s = Signature(4, (3, 2, 1, 2), (1, 1, 1))
-        profile = phase_instantiate(s, Fraction(178, 97), 9973)
+        profile = phase_instantiate(s, Fraction(178, 97), 9973, 4985)
         assert isinstance(profile, IndexProfile)
         assert average_index(profile) == Fraction(178, 97)
         assert validate_profile(profile) == []
@@ -211,27 +256,27 @@ class TestPhaseInstantiate:
 
     def test_constant_forced(self):
         s = Signature(3, (2,), ())
-        outcome = phase_instantiate(s, Fraction(1), 499)
+        outcome = phase_instantiate(s, Fraction(1), 499, 248)
         assert isinstance(outcome, PhaseInfeasible)
         assert "forced" in outcome.reason
-        profile = phase_instantiate(s, Fraction(2), 499)
+        profile = phase_instantiate(s, Fraction(2), 499, 248)
         assert isinstance(profile, IndexProfile)
 
     def test_negative_target(self):
         s = Signature(4, (3, 2, 1, 2), (1, 1, 1))
-        outcome = phase_instantiate(s, Fraction(-1), 499)
+        outcome = phase_instantiate(s, Fraction(-1), 499, 248)
         assert isinstance(outcome, PhaseInfeasible)
         assert "hull" in outcome.reason
 
     def test_hull_boundary_infeasible(self):
         s = Signature(3, (2, 1, 2), (1, 1))
         # min arc value is 1; on the open simplex the average never reaches it.
-        outcome = phase_instantiate(s, Fraction(1), 499)
+        outcome = phase_instantiate(s, Fraction(1), 499, 248)
         assert isinstance(outcome, PhaseInfeasible)
 
     def test_flat_spread(self):
         s = Signature(4, (3, 3, 3), (1, 1))
-        profile = phase_instantiate(s, Fraction(3), 499)
+        profile = phase_instantiate(s, Fraction(3), 499, 248)
         assert isinstance(profile, IndexProfile)
         assert average_index(profile) == 3
         assert validate_profile(profile) == []
@@ -246,6 +291,8 @@ class TestPhaseInstantiate:
         # so the first multiples j/q < 1/2 that keep the denominator q are
         # used.  At q = 6 only 1/6 does, and two phases are needed.
         numerators = {35: (1, 2), 45: (1, 2, 4), 6: None}[q]
+        if horizon is None:
+            horizon = (q - 2) // 2
         s = Signature(len(arcs), arcs, (1,) * (len(arcs) - 1))
         if numerators is None:
             with pytest.raises(RuntimeError, match="no admissible phases") as refused:
@@ -258,7 +305,7 @@ class TestPhaseInstantiate:
 
     def test_flat_spread_at_prime_q(self):
         s = Signature(4, (3, 3, 3, 3), (1, 1, 1))
-        for horizon in (None, 20):
+        for horizon in (22, 20):
             profile = phase_instantiate(s, Fraction(3), 47, horizon=horizon)
             assert profile.phases == (Fraction(5, 47), Fraction(10, 47), Fraction(15, 47))
 
@@ -266,7 +313,7 @@ class TestPhaseInstantiate:
         # The relation forces t_1 = 1/4, a rational phase: infeasible at
         # every horizon, not only where 4 <= 2*horizon + 1.
         s = Signature(3, (2, 0), (2,))
-        for horizon in (None, 1, 3, 200):
+        for horizon in (1, 3, 200, 248):
             outcome = phase_instantiate(s, Fraction(1), 499, horizon=horizon)
             assert isinstance(outcome, PhaseInfeasible)
             assert "forced phase t_1 = 1/4 is rational" in outcome.reason
@@ -306,6 +353,27 @@ class TestPhaseInstantiate:
                     instantiated += 1
                     assert all(t.denominator > 401 for t in outcome.phases), outcome
         assert instantiated
+
+    def test_composite_snapped_placement_keeps_denominators_above_threshold(self):
+        # At Q = 405 = 3^4 * 5 the offset grid fails, and the snapped
+        # numerators are bumped past those reducing to a denominator <= 401.
+        s = Signature(5, (4, 3, 1, 1), (1, 2, 1))
+        profile = phase_instantiate(s, Fraction(4, 3), 405, horizon=200)
+        assert profile.phases == (Fraction(167, 3240), Fraction(373, 6480), Fraction(1601, 3240))
+        assert validate_profile(profile) == []
+        assert average_index(profile) == Fraction(4, 3)
+        assert all(t.denominator > 401 for t in profile.phases)
+
+    def test_no_placement_is_no_certificate(self):
+        # At Q = 495 every placement of t_1 for (4, 1, 0) at 4/3 leaves the
+        # solved t_2 out of order or at a denominator <= 401.
+        s = Signature(5, (4, 1, 0), (3, 1))
+        with pytest.raises(RuntimeError) as info:
+            phase_instantiate(s, Fraction(4, 3), 495, horizon=200)
+        assert str(info.value) == (
+            "no admissible phases were constructed for target 4/3; "
+            "not an infeasibility certificate"
+        )
 
     def test_instantiated_targets_across_space(self):
         # Every successful instantiation is valid, hits the target exactly,
@@ -370,6 +438,12 @@ class TestPipeline:
         p = IndexProfile(3, (2, 1, 0), ("10/97", "31/97"), (1, 1))
         verdict = single_geodesic_pipeline(3, p, 96)
         assert verdict.failed_step == "second-iterate"
+
+    @pytest.mark.parametrize("horizon", [2, 0, -4])
+    def test_short_horizon_refused(self, running_profile, horizon):
+        with pytest.raises(PrecondViolation) as info:
+            single_geodesic_pipeline(4, running_profile, horizon)
+        assert str(info.value) == f"horizon = {horizon} must be >= 3"
 
     def test_deterministic(self, running_profile):
         a = single_geodesic_pipeline(4, running_profile, 96)
@@ -594,7 +668,7 @@ class TestVerifyTheorem:
         # and two magnitudes, and compare them with the oracle.
         real_instantiate = bottiter.verifier.phase_instantiate
 
-        def instantiate(s, alpha_target, q, horizon=None):
+        def instantiate(s, alpha_target, q, horizon):
             if min(s.arc_values) > 1:  # counted in closed form by verify_theorem
                 return real_instantiate(s, alpha_target, q, horizon)
             # Distinct per target, with denominators above the horizon.
@@ -694,6 +768,11 @@ class TestVerifyTheorem:
                 verify_theorem(n, horizon, q)
         with pytest.raises(PrecondViolation, match="must be prime"):
             verify_theorem(3, 0, 4)
+        # A prime Q at or below 2*horizon + 1.
+        for q in (397, 401):
+            with pytest.raises(PrecondViolation) as info:
+                verify_theorem(4, 200, q)
+            assert str(info.value) == f"Q = {q} must exceed 2*horizon + 1 = 401"
 
     def test_deterministic_summary(self):
         a = verify_theorem(3, 100, 499)
