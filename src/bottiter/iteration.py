@@ -23,7 +23,13 @@ from fractions import Fraction
 
 from . import kernel
 from .errors import PhaseCollision, PrecondViolation
-from .profile import IndexProfile, arc_position, average_index, evaluate_index_function
+from .profile import (
+    IndexProfile,
+    arc_position,
+    average_index,
+    evaluate_index_function,
+    reduces_above,
+)
 
 
 @dataclass(frozen=True)
@@ -136,7 +142,7 @@ def check_jump_range(phases: tuple[Fraction, ...], horizon: int) -> None:
     that, since the scan would collide there."""
     threshold = 2 * horizon + 1
     for j, t in enumerate(phases):
-        if t.denominator <= threshold:
+        if not reduces_above(t.numerator, t.denominator, threshold):
             raise PrecondViolation(
                 f"phase t_{j + 1} = {t} has denominator <= 2*horizon + 1 = {threshold}; "
                 "the scan would collide"

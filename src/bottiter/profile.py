@@ -23,6 +23,7 @@ nullities are integers, and no operation ever rounds.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -117,6 +118,12 @@ def phase_order_violations(phases: Sequence[Fraction]) -> list[str]:
         for j, (a, b) in enumerate(zip(phases, phases[1:]), start=1)
         if b <= a
     ]
+
+
+def reduces_above(numerator: int, denominator: int, threshold: int) -> bool:
+    """The collision rule: numerator / denominator in lowest terms has a
+    denominator above the threshold (2*horizon + 1 for a scan to horizon)."""
+    return denominator // math.gcd(numerator, denominator) > threshold
 
 
 def nullity_violations(n: int, arcs: Sequence[int], nulls: Sequence[int]) -> list[str]:

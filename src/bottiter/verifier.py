@@ -89,6 +89,7 @@ from .profile import (
     nullity_violations,
     phase_order_violations,
     phases_in_order,
+    reduces_above,
     validate_profile,
 )
 
@@ -594,17 +595,17 @@ def _placements(
     denominator).
 
     First the offset grid: the consecutive numerators j >= _GRID_OFFSET
-    whose reduced denominator q / gcd(j, q) exceeds the threshold.  Then an
+    for which j / q `reduces_above` the threshold.  Then an
     interior weight solution (the target as a convex combination of the
     arc values, every weight positive) whose phases are snapped to a grid
     fine enough to keep them apart, shifted by 0..5 grid steps; a snapped
-    numerator that is a multiple of q or reduces to a denominator at most
-    the threshold is bumped up until it is neither.  At a prime q above
+    numerator that is a multiple of q or does not reduce above the
+    threshold is bumped up until it is neither.  At a prime q above
     the threshold only the multiples of q are bumped, once each.
     """
     l = len(arcs) - 1
     free = [j for j in range(l) if j != r]
-    offsets = (j for j in itertools.count(_GRID_OFFSET) if q // math.gcd(j, q) > threshold)
+    offsets = (j for j in itertools.count(_GRID_OFFSET) if reduces_above(j, q, threshold))
     yield dict(zip(free, offsets)), q
 
     a = next(k for k, v in enumerate(arcs) if v < alpha_target)
@@ -638,7 +639,7 @@ def _placements(
         for j in free:
             pj = int(base[j] * grid + Fraction(1, 2)) + shift
             pj = max(prev + 1, min(pj, half_limit))
-            while pj % q == 0 or grid // math.gcd(pj, grid) <= threshold:
+            while pj % q == 0 or not reduces_above(pj, grid, threshold):
                 pj += 1
             if pj <= prev or pj > half_limit:
                 break
@@ -658,8 +659,10 @@ def phase_instantiate(
     that none exist within the admissible family.
 
     Admissible phases are strictly increasing interior rationals
-    (`phases_in_order`) whose reduced denominators exceed 2*horizon + 1,
-    so that no Bott sum up to the horizon can collide.  The average index
+    (`phases_in_order`) whose reduced denominators exceed 2*horizon + 1
+    (`reduces_above`), so that no Bott sum up to the horizon can collide.
+    A horizon below 1, or Q at most 2*horizon + 1, raises PrecondViolation:
+    no placement on the grid 1/Q could then pass.  The average index
     is an all-positive-weight convex combination of the arc values, so a
     target is realizable iff it lies strictly inside the arc-value hull
     (or equals the forced value when the arcs are constant).  When a single
@@ -677,8 +680,12 @@ def phase_instantiate(
     RuntimeError is raised when none is, so constant arcs raise it only
     when fewer than l such j/q exist.
     """
-    alpha_target = Fraction(alpha_target)
+    if horizon < 1:
+        raise PrecondViolation(f"horizon = {horizon} must be positive")
     threshold = 2 * horizon + 1
+    if q <= threshold:
+        raise PrecondViolation(f"Q = {q} must exceed 2*horizon + 1 = {threshold}")
+    alpha_target = Fraction(alpha_target)
     arcs = s.arc_values
     l = len(arcs) - 1
 
@@ -692,7 +699,7 @@ def phase_instantiate(
         if alpha_target != arcs[0]:
             return infeasible(f"average index is forced to I_1 = {arcs[0]}")
         low = tuple(itertools.islice(
-            (Fraction(j, q) for j in range(1, (q + 1) // 2) if q // math.gcd(j, q) > threshold), l
+            (Fraction(j, q) for j in range(1, (q + 1) // 2) if reduces_above(j, q, threshold)), l
         ))
         candidates = [_spread_phases(l, q)] + ([low] if len(low) == l else [])
     else:
@@ -726,7 +733,9 @@ def phase_instantiate(
         candidates = solved()
 
     for phases in candidates:
-        if phases_in_order(phases) and all(t.denominator > threshold for t in phases):
+        if phases_in_order(phases) and all(
+            reduces_above(t.numerator, t.denominator, threshold) for t in phases
+        ):
             profile = IndexProfile(s.n, arcs, phases, s.nullities)
             assert average_index(profile) == alpha_target
             return profile

@@ -200,8 +200,14 @@ class TestJumpSearch:
         assert jump_search(running_profile, 40) == expected
 
     def test_denominator_precondition(self, running_profile):
-        with pytest.raises(PrecondViolation, match="denominator"):
+        with pytest.raises(PrecondViolation) as info:
             jump_search(running_profile, 60)  # 2*60 + 1 > 97
+        assert str(info.value) == (
+            "phase t_1 = 10/97 has denominator <= 2*horizon + 1 = 121; the scan would collide"
+        )
+        with pytest.raises(PrecondViolation, match="= 97; the scan would collide"):
+            jump_search(running_profile, 48)  # 2*48 + 1 = 97 is not above 97
+        assert isinstance(jump_search(running_profile, 47), list)
 
     def test_alpha_precondition(self):
         p = IndexProfile(3, (0,))

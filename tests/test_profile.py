@@ -19,6 +19,7 @@ from bottiter import (
     profile_from_document,
     validate_profile,
 )
+from bottiter.profile import reduces_above
 from bottiter.reference import naive_index
 
 from conftest import make_random_profile
@@ -111,6 +112,16 @@ class TestValidate:
         bad = IndexProfile(4, (3, 2, 1, 2), running_profile.phases, (1, 1, 1),
                            splitting_pairs=((1, 0), (0, 1), (1, 0)))
         assert validate_profile(bad) == ["S-_1 - S+_1 = -1 does not equal I_1 - I_2 = 1"]
+
+
+@pytest.mark.parametrize(
+    "numerator,denominator,expected",
+    [(1, 402, True), (4, 441, True), (3, 441, False), (6, 441, False), (402, 402, False),
+     (401, 402, True)],
+)
+def test_collision_rule_reads_the_reduced_denominator(numerator, denominator, expected):
+    # 3/441 = 1/147 and 6/441 = 2/147 fall to 147 <= 401; 4/441 keeps 441.
+    assert reduces_above(numerator, denominator, 401) is expected
 
 
 def test_inexact_phase_refused():

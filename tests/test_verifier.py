@@ -364,6 +364,22 @@ class TestPhaseInstantiate:
         assert average_index(profile) == Fraction(4, 3)
         assert all(t.denominator > 401 for t in profile.phases)
 
+    @pytest.mark.parametrize(
+        "q,horizon,message",
+        [(97, 200, "Q = 97 must exceed 2*horizon + 1 = 401"),
+         (401, 200, "Q = 401 must exceed 2*horizon + 1 = 401"),
+         (1, -5, "horizon = -5 must be positive"),
+         (499, 0, "horizon = 0 must be positive")],
+        ids=["q-below", "q-at-threshold", "negative-horizon", "zero-horizon"],
+    )
+    def test_threshold_must_stay_below_q(self, q, horizon, message):
+        # With Q <= 2*horizon + 1 no numerator over Q reduces above the
+        # threshold, so the placement search would never end.
+        s = Signature(4, (3, 2, 1, 2), (1, 1, 1))
+        with pytest.raises(PrecondViolation) as info:
+            phase_instantiate(s, Fraction(178, 97), q, horizon)
+        assert str(info.value) == message
+
     def test_no_placement_is_no_certificate(self):
         # At Q = 495 every placement of t_1 for (4, 1, 0) at 4/3 leaves the
         # solved t_2 out of order or at a denominator <= 401.
